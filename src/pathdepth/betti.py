@@ -12,11 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .ideals import MonomialIdeal, monomial_vars, divides
-from .homology import reduced_homology_ranks
-from .linalg import rank_bareiss, rank_mod_p
+from .homology import chain_homology_ranks, reduced_homology_ranks
 
 HOCHSTER_MAX_N = 16
 TAYLOR_MAX_GENS = 12
@@ -113,7 +110,7 @@ def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable
             continue
         faces = _restricted_faces(sigma, gens_in)
         ranks = reduced_homology_ranks(faces, field, check_closed=False)
-        size = bin(sigma).count("1")
+        size = sigma.bit_count()
         for d, r in ranks.items():
             if r:
                 entries[(size - 1 - d, sigma)] = r
@@ -135,34 +132,11 @@ def taylor_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable:
         for t in range(r):
             if fset >> t & 1:
                 deg |= gens[t]
-        strands.setdefault(deg, {}).setdefault(bin(fset).count("1"), []).append(fset)
+        strands.setdefault(deg, {}).setdefault(fset.bit_count(), []).append(fset)
+    # a boundary face with a smaller lcm lies in another strand: left out
     entries: dict[tuple[int, int], int] = {}
-    rank = rank_bareiss if field.p is None else (lambda m: rank_mod_p(m, field.p))
     for deg, by_size in strands.items():
-        top = max(by_size)
-        ranks_i = {}
-        for i in range(1, top + 1):
-            lower = by_size.get(i - 1, [])
-            upper = by_size.get(i, [])
-            if not lower or not upper:
-                ranks_i[i] = 0
-                continue
-            index = {f: k for k, f in enumerate(lower)}
-            mat = np.zeros((len(lower), len(upper)), dtype=np.int64)
-            for j, fset in enumerate(upper):
-                sign = 1
-                m = fset
-                while m:
-                    low = m & -m
-                    tgt = fset ^ low
-                    if tgt in index:  # lcm must stay equal to deg
-                        mat[index[tgt], j] = sign
-                    sign = -sign
-                    m ^= low
-            ranks_i[i] = rank(mat)
-        for i in range(0, top + 1):
-            ci = len(by_size.get(i, []))
-            h = ci - ranks_i.get(i, 0) - ranks_i.get(i + 1, 0)
+        for i, h in enumerate(chain_homology_ranks(by_size, field)):
             if h:
                 entries[(i, deg)] = h
     return BettiTable.from_dict(ideal.n, entries)

@@ -15,7 +15,7 @@ from .betti import Field, RATIONALS, GF2, depth_quotient, hochster_betti
 from .graphs import cycle_ideal, line_ideal
 from .ideals import MonomialIdeal
 from .sdepth import StanleyCertificate, stanley_depth, validate_decomposition
-from .oracle import verify_suite, DEPTH_N_CAP, SDEPTH_N_CAP
+from .oracle import verify_suite, DEPTH_N_CAP, FAMILIES, SDEPTH_N_CAP
 
 
 class UsageError(Exception):
@@ -111,11 +111,18 @@ def _run_sdepth(args):
         j_ideal, i_ideal
 
 
+def _certificate_json(res) -> str:
+    """The certificate of a result, marked when the budget cut the search."""
+    if res.exact:
+        return res.certificate.to_json()
+    return json.dumps({"exact": False, **res.certificate.to_dict()}, indent=2)
+
+
 def cmd_sdepth(args) -> int:
     res, j_ideal, i_ideal = _run_sdepth(args)
     if args.certificate:
         with open(args.certificate, "w") as fh:
-            fh.write(res.certificate.to_json() + "\n")
+            fh.write(_certificate_json(res) + "\n")
     if res.exact:
         _emit(str(res.sdepth), args.out)
         return 0
@@ -137,7 +144,7 @@ def cmd_decomp(args) -> int:
     if j_ideal == i_ideal:
         raise UsageError("J = I gives the zero module")
     res = stanley_depth(j_ideal, i_ideal, node_budget=args.budget_nodes)
-    _emit(res.certificate.to_json(), args.out)
+    _emit(_certificate_json(res), args.out)
     return 0
 
 
@@ -207,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decomp)
 
     p = sub.add_parser("verify", help="run the verification harness")
-    p.add_argument("--suite", default="all",
-                   choices=["all", "j2", "j3", "line", "jn1", "jn2",
-                            "prop1", "max"])
+    p.add_argument("--suite", default="all", choices=["all", *FAMILIES])
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=9)
     p.add_argument("--field", choices=["q", "f2"], default="q")

@@ -24,8 +24,7 @@ def cycle_ideal(n: int, m: int) -> MonomialIdeal:
         raise ValueError(f"cyclic graph needs n >= 3, got n={n}")
     if not 2 <= m <= n:
         raise ValueError(f"path length m={m} must satisfy 2 <= m <= n={n}")
-    gens = [monomial(((i + j - 1) % n + 1 for j in range(m)), n)
-            for i in range(1, n + 1)]
+    gens = [cycle_window(n, i, m) for i in range(1, n + 1)]
     return MonomialIdeal(n, tuple(gens))
 
 
@@ -34,22 +33,28 @@ def cycle_window(n: int, start: int, m: int = 3) -> int:
     return monomial(((start + j - 1) % n + 1 for j in range(m)), n)
 
 
+def _edge_graph(ideal: MonomialIdeal) -> dict[int, set[int]] | None:
+    """Adjacency of the graph whose edges are the generators, keyed by
+    vertex bit; None if some generator is not of degree 2."""
+    adj: dict[int, set[int]] = {}
+    for g in ideal.gens:
+        if g.bit_count() != 2:
+            return None
+        a = g & -g
+        b = g ^ a
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
 def path_ideal_order(ideal: MonomialIdeal) -> int | None:
     """If the degree-2 generators form a simple path, its vertex count.
 
     Recognises ideals isomorphic (by variable relabelling) to the edge
     ideal of a line graph; returns None otherwise.
     """
-    edges = [g for g in ideal.gens]
-    if not edges or any(bin(g).count("1") != 2 for g in edges):
-        return None
-    adj: dict[int, set[int]] = {}
-    for g in edges:
-        a = g & -g
-        b = g ^ a
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    if len(edges) != len(adj) - 1:
+    adj = _edge_graph(ideal)
+    if not adj or len(ideal.gens) != len(adj) - 1:
         return None
     degs = sorted(len(v) for v in adj.values())
     if degs[:2] != [1, 1] or any(d > 2 for d in degs):
@@ -69,16 +74,9 @@ def path_ideal_order(ideal: MonomialIdeal) -> int | None:
 
 def cycle_ideal_order(ideal: MonomialIdeal) -> int | None:
     """If the degree-2 generators form a single cycle, its length."""
-    edges = [g for g in ideal.gens]
-    if len(edges) < 3 or any(bin(g).count("1") != 2 for g in edges):
-        return None
-    adj: dict[int, set[int]] = {}
-    for g in edges:
-        a = g & -g
-        b = g ^ a
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    if len(edges) != len(adj) or any(len(v) != 2 for v in adj.values()):
+    adj = _edge_graph(ideal)
+    if (not adj or len(ideal.gens) < 3 or len(ideal.gens) != len(adj)
+            or any(len(v) != 2 for v in adj.values())):
         return None
     start = next(iter(adj))
     seen = {start}

@@ -14,10 +14,6 @@ import numpy as np
 from .linalg import rank_bareiss, rank_mod_p
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _rank(matrix, field) -> int:
     if field.p is None:
         return rank_bareiss(matrix)
@@ -37,7 +33,11 @@ def validate_closed(faces) -> None:
 
 
 def boundary_matrix(lower: list[int], upper: list[int]) -> np.ndarray:
-    """Signed boundary matrix from d-faces (upper) to (d-1)-faces (lower)."""
+    """Signed boundary matrix from the cells in upper to those in lower.
+
+    A cell's boundary drops one bit at a time with alternating sign; targets
+    absent from lower are left out.
+    """
     index = {f: i for i, f in enumerate(lower)}
     mat = np.zeros((len(lower), len(upper)), dtype=np.int64)
     for j, f in enumerate(upper):
@@ -45,10 +45,29 @@ def boundary_matrix(lower: list[int], upper: list[int]) -> np.ndarray:
         m = f
         while m:
             low = m & -m
-            mat[index[f ^ low], j] = sign
+            i = index.get(f ^ low)
+            if i is not None:
+                mat[i, j] = sign
             sign = -sign
             m ^= low
     return mat
+
+
+def chain_homology_ranks(cells: dict[int, list[int]], field) -> list[int]:
+    """Homology ranks of a chain complex of bitmask cells keyed by bit count.
+
+    Entry s of the result is c_s - r_s - r_{s+1} for s = 0..max(cells),
+    where c_s counts the cells of size s and r_s is the rank of the
+    boundary map out of them.
+    """
+    top = max(cells)
+    ranks = [0] * (top + 2)
+    for s in range(1, top + 1):
+        lower, upper = cells.get(s - 1), cells.get(s)
+        if lower and upper:
+            ranks[s] = _rank(boundary_matrix(lower, upper), field)
+    return [len(cells.get(s, ())) - ranks[s] - ranks[s + 1]
+            for s in range(top + 1)]
 
 
 def reduced_homology_ranks(faces, field, *, check_closed: bool = True) -> dict[int, int]:
@@ -58,23 +77,10 @@ def reduced_homology_ranks(faces, field, *, check_closed: bool = True) -> dict[i
         validate_closed(face_list)
     if not face_list:
         return {}
-    by_dim: dict[int, list[int]] = {}
+    by_size: dict[int, list[int]] = {}
     for f in face_list:
-        by_dim.setdefault(_popcount(f) - 1, []).append(f)
-    top = max(by_dim)
-    if -1 not in by_dim:
+        by_size.setdefault(f.bit_count(), []).append(f)
+    if 0 not in by_size:
         # no empty face: treat the input as a void complex
-        return {d: 0 for d in range(-1, top + 1)}
-    ranks_d = {}  # rank of the boundary map out of dimension d
-    for d in range(0, top + 1):
-        lower = by_dim.get(d - 1, [])
-        upper = by_dim.get(d, [])
-        if not lower or not upper:
-            ranks_d[d] = 0
-        else:
-            ranks_d[d] = _rank(boundary_matrix(lower, upper), field)
-    out = {}
-    for d in range(-1, top + 1):
-        fd = len(by_dim.get(d, []))
-        out[d] = fd - ranks_d.get(d, 0) - ranks_d.get(d + 1, 0)
-    return out
+        return {d: 0 for d in range(-1, max(by_size))}
+    return {s - 1: h for s, h in enumerate(chain_homology_ranks(by_size, field))}

@@ -155,13 +155,6 @@ class MonomialIdeal:
         check_monomial(mask, self.n)
         return any(divides(g, mask) for g in self.gens)
 
-    def support(self) -> int:
-        """Union of the variables occurring in the generators."""
-        out = 0
-        for g in self.gens:
-            out |= g
-        return out
-
     # -- operations ---------------------------------------------------
 
     def colon(self, u: int) -> "MonomialIdeal":

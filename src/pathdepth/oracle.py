@@ -10,8 +10,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .betti import Field, RATIONALS, depth_quotient
+from .betti import HOCHSTER_MAX_N, Field, RATIONALS, depth_quotient
 from .graphs import cycle_ideal, line_ideal
 from .ideals import MonomialIdeal
 from .sdepth import stanley_depth
@@ -47,75 +48,110 @@ class Expectation:
         return self.lo <= v <= self.hi
 
 
-FAMILIES = ("line", "j2", "j3", "jn1", "jn2", "prop1", "max")
+QUANTITIES = ("depth", "sdepth")
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family of the paper: its module, its m and its closed form.
+
+    ``m`` gives the path length from n (None for a module without one),
+    or is itself None for the line family, whose m is free in 1..n and
+    sampled by verify from ``suite_m_min``.
+    The closed form holds for n >= ``n_min``; verify samples n from
+    ``suite_n_min``, which can be larger.
+    """
+
+    name: str
+    quantities: tuple[str, ...]
+    n_min: int
+    suite_n_min: int
+    m: Callable[[int], int | None] | None
+    module: Callable[[int, int | None], tuple[MonomialIdeal, MonomialIdeal]]
+    closed_form: Callable[[int, int | None, str], Expectation]
+    suite_m_min: int | None = None
+
+    def row_m(self, n: int, m: int | None) -> int | None:
+        """The m a row of this family carries."""
+        return m if self.m is None else self.m(n)
+
+    def suite_ms(self, n: int):
+        """The m values verify samples at n."""
+        return range(self.suite_m_min, n + 1) if self.m is None else (self.m(n),)
+
+
+def _exact(v: int) -> Expectation:
+    return Expectation(v, v)
+
+
+def _line_form(n: int, m: int, quantity: str) -> Expectation:
+    return _exact(n + 1 - (n + 1) // (m + 1) - ceil_div(n + 1, m + 1))
+
+
+def _j2_form(n: int, m: int, quantity: str) -> Expectation:
+    v = ceil_div(n - 1, 3)
+    if quantity == "depth" or n % 3 in (0, 2):
+        return _exact(v)
+    return Expectation(v, ceil_div(n, 3))
+
+
+def _j3_form(n: int, m: int, quantity: str) -> Expectation:
+    v = phi(n)
+    r = n % 4
+    if quantity == "depth":
+        return Expectation(v, v + 1) if r == 1 else _exact(v)
+    return _exact(v) if r in (0, 3) else Expectation(v, v + 1)
+
+
+def _cycle_quotient(n: int, m: int):
+    return MonomialIdeal.whole_ring(n), cycle_ideal(n, m)
+
+
+FAMILIES: dict[str, Family] = {
+    "line": Family("I_{n,m}", QUANTITIES, 1, 2, None,
+                   lambda n, m: (MonomialIdeal.whole_ring(n), line_ideal(n, m)),
+                   _line_form, suite_m_min=2),
+    "j2": Family("J_{n,2}", QUANTITIES, 3, 3, lambda n: 2, _cycle_quotient, _j2_form),
+    "j3": Family("J_{n,3}", QUANTITIES, 3, 4, lambda n: 3, _cycle_quotient, _j3_form),
+    "jn1": Family("J_{n,n-1}", QUANTITIES, 3, 3, lambda n: n - 1, _cycle_quotient,
+                  lambda n, m, q: _exact(n - 2)),
+    "jn2": Family("J_{n,n-2}", QUANTITIES, 5, 5, lambda n: n - 2, _cycle_quotient,
+                  lambda n, m, q: Expectation(n - 3, n - 2)),
+    "prop1": Family("J_{n,3}/I_{n,3}", ("sdepth",), 4, 4, lambda n: None,
+                    lambda n, m: (cycle_ideal(n, 3), line_ideal(n, 3)),
+                    lambda n, m, q: _exact(n + 1 - n // 4 - ceil_div(n, 4))),
+    "max": Family("the maximal ideal", ("sdepth",), 1, 2, lambda n: None,
+                  lambda n, m: (line_ideal(n, 1), MonomialIdeal.zero(n)),
+                  lambda n, m, q: _exact(ceil_div(n, 2))),
+}
+
+
+def _family(name: str) -> Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
 
 
 def expectation(family: str, n: int, quantity: str, m: int | None = None) -> Expectation:
     """The closed-form expectation for a family instance, if one is stated."""
-    if quantity not in ("depth", "sdepth"):
+    if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    if family == "line":
-        if m is None or not 1 <= m <= n:
-            raise ValueError("line family needs 1 <= m <= n")
-        v = n + 1 - (n + 1) // (m + 1) - ceil_div(n + 1, m + 1)
-        return Expectation(v, v)
-    if family == "j2":
-        if n < 3:
-            raise ValueError("J_{n,2} needs n >= 3")
-        v = ceil_div(n - 1, 3)
-        if quantity == "depth" or n % 3 in (0, 2):
-            return Expectation(v, v)
-        return Expectation(v, ceil_div(n, 3))
-    if family == "j3":
-        if n < 3:
-            raise ValueError("J_{n,3} needs n >= 3")
-        v = phi(n)
-        r = n % 4
-        if quantity == "depth":
-            return Expectation(v, v + 1) if r == 1 else Expectation(v, v)
-        return Expectation(v, v) if r in (0, 3) else Expectation(v, v + 1)
-    if family == "jn1":
-        if n < 3:
-            raise ValueError("J_{n,n-1} needs n >= 3")
-        return Expectation(n - 2, n - 2)
-    if family == "jn2":
-        if n < 5:
-            raise ValueError("J_{n,n-2} bounds are stated for n >= 5")
-        return Expectation(n - 3, n - 2)
-    if family == "prop1":
-        if quantity != "sdepth":
-            raise ValueError("only sdepth is stated for J_{n,3}/I_{n,3}")
-        if n < 4:
-            raise ValueError("J_{n,3}/I_{n,3} needs n >= 4")
-        v = n + 1 - n // 4 - ceil_div(n, 4)
-        return Expectation(v, v)
-    if family == "max":
-        if quantity != "sdepth":
-            raise ValueError("only sdepth is stated for the maximal ideal")
-        if n < 1:
-            raise ValueError("maximal ideal needs n >= 1")
-        v = ceil_div(n, 2)
-        return Expectation(v, v)
-    raise ValueError(f"unknown family {family!r}")
+    fam = _family(family)
+    if quantity not in fam.quantities:
+        raise ValueError(f"only {' and '.join(fam.quantities)} is stated "
+                         f"for {fam.name}")
+    if n < fam.n_min:
+        raise ValueError(f"{fam.name} needs n >= {fam.n_min}")
+    if fam.m is None and (m is None or not 1 <= m <= n):
+        raise ValueError(f"{fam.name} needs 1 <= m <= n")
+    return fam.closed_form(n, fam.row_m(n, m), quantity)
 
 
 def family_module(family: str, n: int, m: int | None = None):
     """The (J, I) module pair of a family instance; J = S means S/I."""
-    if family == "line":
-        return MonomialIdeal.whole_ring(n), line_ideal(n, m)
-    if family == "j2":
-        return MonomialIdeal.whole_ring(n), cycle_ideal(n, 2)
-    if family == "j3":
-        return MonomialIdeal.whole_ring(n), cycle_ideal(n, 3)
-    if family == "jn1":
-        return MonomialIdeal.whole_ring(n), cycle_ideal(n, n - 1)
-    if family == "jn2":
-        return MonomialIdeal.whole_ring(n), cycle_ideal(n, n - 2)
-    if family == "prop1":
-        return cycle_ideal(n, 3), line_ideal(n, 3)
-    if family == "max":
-        return line_ideal(n, 1), MonomialIdeal.zero(n)
-    raise ValueError(f"unknown family {family!r}")
+    fam = _family(family)
+    return fam.module(n, fam.row_m(n, m))
 
 
 MATCH = "MATCH"
@@ -192,26 +228,13 @@ DEPTH_N_CAP = 12
 SDEPTH_N_CAP = 9
 
 
-def _family_m(family: str, n: int, m: int | None) -> int | None:
-    if family == "line":
-        return m
-    if family == "j2":
-        return 2
-    if family == "j3":
-        return 3
-    if family == "jn1":
-        return n - 1
-    if family == "jn2":
-        return n - 2
-    return None
-
-
 def compute_row(family: str, n: int, m: int | None, quantity: str,
                 field_choice: Field = RATIONALS,
                 node_budget: int | None = None) -> Row:
     """Evaluate one harness row: compute, compare, classify."""
     start = time.perf_counter()
     exp = expectation(family, n, quantity, m=m)
+    m = FAMILIES[family].row_m(n, m)
     j_ideal, i_ideal = family_module(family, n, m)
     note = ""
     if quantity == "depth":
@@ -219,8 +242,7 @@ def compute_row(family: str, n: int, m: int | None, quantity: str,
     else:
         res = stanley_depth(j_ideal, i_ideal, node_budget=node_budget)
         if not res.exact:
-            return Row(family, n, _family_m(family, n, m), quantity,
-                       exp.lo, exp.hi, res.sdepth, SKIPPED,
+            return Row(family, n, m, quantity, exp.lo, exp.hi, res.sdepth, SKIPPED,
                        time.perf_counter() - start,
                        f"budget exhausted; sdepth >= {res.sdepth}")
         computed = res.sdepth
@@ -231,31 +253,17 @@ def compute_row(family: str, n: int, m: int | None, quantity: str,
         note = f"new data point: exact value {computed}"
     else:
         status = VIOLATION
-    return Row(family, n, _family_m(family, n, m), quantity,
-               exp.lo, exp.hi, computed, status,
+    return Row(family, n, m, quantity, exp.lo, exp.hi, computed, status,
                time.perf_counter() - start, note)
 
 
 def _suite_instances(suite: str, n_min: int, n_max: int):
     """(family, n, m, quantities) tuples for a suite selection."""
-    out = []
-    for n in range(n_min, n_max + 1):
-        if suite in ("all", "line"):
-            for m in range(2, n + 1):
-                out.append(("line", n, m, ("depth", "sdepth")))
-        if suite in ("all", "j2") and n >= 3:
-            out.append(("j2", n, 2, ("depth", "sdepth")))
-        if suite in ("all", "j3") and n >= 4:
-            out.append(("j3", n, 3, ("depth", "sdepth")))
-        if suite in ("all", "jn1") and n >= 3:
-            out.append(("jn1", n, n - 1, ("depth", "sdepth")))
-        if suite in ("all", "jn2") and n >= 5:
-            out.append(("jn2", n, n - 2, ("depth", "sdepth")))
-        if suite in ("all", "prop1") and n >= 4:
-            out.append(("prop1", n, None, ("sdepth",)))
-        if suite in ("all", "max") and n >= 2:
-            out.append(("max", n, None, ("sdepth",)))
-    return out
+    families = FAMILIES if suite == "all" else {suite: _family(suite)}
+    return [(name, n, m, fam.quantities)
+            for n in range(n_min, n_max + 1)
+            for name, fam in families.items() if n >= fam.suite_n_min
+            for m in fam.suite_ms(n)]
 
 
 def _worker(args):
@@ -270,21 +278,25 @@ def verify_suite(suite: str, n_min: int, n_max: int,
                  sdepth_n_cap: int = SDEPTH_N_CAP,
                  threads: int | None = None) -> VerificationReport:
     """Run a family suite and compare both engines against the expectations."""
-    instances = _suite_instances(suite, n_min, n_max)
+    if threads is None:
+        raw = os.environ.get("PATHDEPTH_THREADS", "1")
+        if not raw.isdecimal() or int(raw) < 1:
+            raise ValueError("PATHDEPTH_THREADS must be a positive integer, "
+                             f"got {raw!r}")
+        threads = int(raw)
+    # the Hochster engine refuses larger n, so past it depth rows are skipped
+    depth_n_cap = min(depth_n_cap, HOCHSTER_MAX_N)
     jobs = []
     skipped_rows = []
-    for family, n, m, quantities in instances:
+    for family, n, m, quantities in _suite_instances(suite, n_min, n_max):
         for quantity in quantities:
             cap = depth_n_cap if quantity == "depth" else sdepth_n_cap
             if n > cap:
                 exp = expectation(family, n, quantity, m=m)
-                skipped_rows.append(Row(family, n, _family_m(family, n, m),
-                                        quantity, exp.lo, exp.hi, None,
-                                        SKIPPED, 0.0, f"n > cap {cap}"))
+                skipped_rows.append(Row(family, n, m, quantity, exp.lo, exp.hi,
+                                        None, SKIPPED, 0.0, f"n > cap {cap}"))
             else:
                 jobs.append((family, n, m, quantity, field_choice, node_budget))
-    if threads is None:
-        threads = int(os.environ.get("PATHDEPTH_THREADS", "1"))
     if threads > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:

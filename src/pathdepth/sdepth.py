@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .ideals import MonomialIdeal, VarPermutation, monomial, monomial_vars, divides
+from .ideals import MonomialIdeal, monomial, monomial_vars, divides
 
 
 class BudgetExceeded(Exception):
@@ -124,10 +124,6 @@ def build_char_poset(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal) -> CharPose
     return CharPoset(n, elems)
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 class _CoverSearch:
     """Backtracking exact-cover search for the decision sdepth >= k.
 
@@ -141,20 +137,18 @@ class _CoverSearch:
     would itself still be uncovered.
     """
 
-    def __init__(self, poset: CharPoset, k: int, budget=None,
-                 symmetry: list[VarPermutation] | None = None):
+    def __init__(self, poset: CharPoset, k: int, budget=None):
         self.n = poset.n
         self.k = k
         self.budget = budget
         self.nodes = 0
-        self.symmetry = symmetry or []
-        order = sorted(poset.elements, key=lambda s: (_popcount(s), monomial_vars(s)))
+        order = sorted(poset.elements, key=lambda s: (s.bit_count(), monomial_vars(s)))
         self.order = order
         self.index = {s: i for i, s in enumerate(order)}
-        self.low = [s for s in order if _popcount(s) < k]
+        self.low = [s for s in order if s.bit_count() < k]
         self.low_indices = [self.index[s] for s in self.low]
-        self.sizes = [_popcount(s) for s in order]
-        tops = [s for s in order if _popcount(s) == k]
+        self.sizes = [s.bit_count() for s in order]
+        tops = [s for s in order if s.bit_count() == k]
         self.elements = poset.elements
         # per low element: candidate (top, cube bitmap) pairs in lex order,
         # and the bitmap of candidate top positions for fast counting
@@ -206,7 +200,7 @@ class _CoverSearch:
         if any(not c for c in self.cands.values()):
             return None
         full = (1 << len(self.order)) - 1
-        return self._search(full, [], root=True)
+        return self._search(full, [])
 
     def _level_counts_feasible(self, uncovered: int) -> bool:
         """Exact counting invariant on the remaining cover problem.
@@ -255,8 +249,7 @@ class _CoverSearch:
             return None
         return best, best_count
 
-    def _search(self, uncovered: int, acc: list[Interval],
-                root: bool = False) -> list[Interval] | None:
+    def _search(self, uncovered: int, acc: list[Interval]) -> list[Interval] | None:
         self._bump()
         picked = self._pick_branch(uncovered)
         if picked is None:
@@ -270,10 +263,7 @@ class _CoverSearch:
             if self.memo_on:
                 self.failed.add(uncovered)
             return None
-        cands = self.cands[branch]
-        if root and self.symmetry:
-            cands = self._dedupe_root(branch, cands)
-        for top, cube in cands:
+        for top, cube in self.cands[branch]:
             if cube & uncovered != cube:
                 continue
             acc.append(Interval(branch, top))
@@ -285,24 +275,8 @@ class _CoverSearch:
             self.failed.add(uncovered)
         return None
 
-    def _dedupe_root(self, branch: int, cands: list[tuple[int, int]]):
-        """Drop root tops equivalent under automorphisms fixing the branch element."""
-        stab = [p for p in self.symmetry if p.apply(branch) == branch]
-        if not stab:
-            return cands
-        seen: set[int] = set()
-        out = []
-        for top, cube in cands:
-            if top in seen:
-                continue
-            out.append((top, cube))
-            for p in stab:
-                seen.add(p.apply(top))
-        return out
 
-
-def sdepth_at_least(poset: CharPoset, k: int, budget=None,
-                    symmetry: list[VarPermutation] | None = None):
+def sdepth_at_least(poset: CharPoset, k: int, budget=None):
     """A certificate with every interval top of size >= k, or None.
 
     Returns (certificate | None, nodes used).  Raises BudgetExceeded if the
@@ -310,7 +284,7 @@ def sdepth_at_least(poset: CharPoset, k: int, budget=None,
     """
     if k < 0 or k > poset.n:
         raise ValueError(f"k={k} outside 0..{poset.n}")
-    search = _CoverSearch(poset, k, budget=budget, symmetry=symmetry)
+    search = _CoverSearch(poset, k, budget=budget)
     intervals = search.run()
     if intervals is None:
         return None, search.nodes
@@ -319,29 +293,27 @@ def sdepth_at_least(poset: CharPoset, k: int, budget=None,
         covered.update(iv.members())
     singles = [Interval(s, s) for s in sorted(poset.elements - covered)]
     all_ivs = intervals + singles
-    claimed = min((_popcount(iv.upper) for iv in all_ivs), default=k)
+    claimed = min((iv.upper.bit_count() for iv in all_ivs), default=k)
     return StanleyCertificate(all_ivs, claimed), search.nodes
 
 
 def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
-                  node_budget=None,
-                  symmetry: list[VarPermutation] | None = None) -> SdepthResult:
+                  node_budget=None) -> SdepthResult:
     """Exact Stanley depth of J/I with a witnessing interval partition."""
     poset = build_char_poset(j_ideal, i_ideal)
     if not poset.elements:
         raise ValueError("J/I is the zero module (I = J)")
-    upper_bound = min(_popcount(s) for s in poset.maximal_elements())
+    upper_bound = min(s.bit_count() for s in poset.maximal_elements())
     total_nodes = 0
     best_cert = StanleyCertificate(
         [Interval(s, s) for s in sorted(poset.elements)],
-        min(_popcount(s) for s in poset.elements))
+        min(s.bit_count() for s in poset.elements))
     best_k = best_cert.claimed_sdepth
     k = best_k + 1
     while k <= upper_bound:
         remaining = None if node_budget is None else node_budget - total_nodes
         try:
-            cert, nodes = sdepth_at_least(poset, k, budget=remaining,
-                                          symmetry=symmetry)
+            cert, nodes = sdepth_at_least(poset, k, budget=remaining)
         except BudgetExceeded:
             return SdepthResult(best_k, best_cert, False, node_budget)
         total_nodes += nodes
@@ -373,7 +345,7 @@ def validate_decomposition(cert: StanleyCertificate,
     if seen != poset.elements:
         return ValidationResult(False, "intervals do not cover the poset")
     if cert.intervals:
-        actual = min(_popcount(iv.upper) for iv in cert.intervals)
+        actual = min(iv.upper.bit_count() for iv in cert.intervals)
         if cert.claimed_sdepth != actual:
             return ValidationResult(False, "claimed sdepth differs from min |upper|")
     return ValidationResult(True)

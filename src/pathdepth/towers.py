@@ -13,11 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import MonomialIdeal, minimalize, monomial, monomial_vars
-from .graphs import cycle_ideal, line_ideal, path_ideal_order, cycle_ideal_order
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+from .graphs import cycle_ideal_order, cycle_window, line_ideal, path_ideal_order
+from .oracle import ceil_div, family_module
 
 
 @dataclass(frozen=True)
@@ -41,11 +38,6 @@ class Tower:
     @property
     def terminal(self) -> MonomialIdeal:
         return self.steps[-1].lj
-
-
-def _u(n: int, i: int) -> int:
-    """The cyclic window u_i = x_i x_{i+1} x_{i+2} (indices mod n)."""
-    return monomial(((i - 1 + j) % n + 1 for j in range(3)), n)
 
 
 def j3_pivots(n: int) -> list[int]:
@@ -76,17 +68,14 @@ def j3_pivots(n: int) -> list[int]:
 def tower_sequence(family: str, n: int) -> Tower:
     """Build the L_j/U_j tower for the J_{n,3} or J_{n,n-2} family."""
     if family == "j3":
-        if n < 4:
-            raise ValueError("J3 tower needs n >= 4")
-        l0 = cycle_ideal(n, 3)
         pivots = j3_pivots(n)
     elif family == "jn2":
         if n < 5:
             raise ValueError("Jn-2 tower needs n >= 5")
-        l0 = cycle_ideal(n, n - 2)
         pivots = [n - j + 1 for j in range(1, n - 3)]
     else:
         raise ValueError(f"unknown tower family {family!r}")
+    _, l0 = family_module(family, n)
     steps = []
     cur = l0
     prev_u = None
@@ -103,33 +92,31 @@ def tower_sequence(family: str, n: int) -> Tower:
 # -- displayed generator lists -------------------------------------------
 
 def displayed_l0_j3(n: int) -> MonomialIdeal:
-    return minimalize([_u(n, i) for i in range(1, n + 1)], n)
+    return minimalize([cycle_window(n, i) for i in range(1, n + 1)], n)
 
 
 def displayed_l1_j3(n: int) -> MonomialIdeal:
     """(u_2, ..., u_{n-4}, u_{n-2}/x_n, u_{n-1}/x_n, u_n/x_n)."""
-    xn = 1 << (n - 1)
-    gens = [_u(n, i) for i in range(2, n - 3)]
-    gens += [_u(n, n - 2) & ~xn, _u(n, n - 1) & ~xn, _u(n, n) & ~xn]
+    gens = [cycle_window(n, i) for i in range(2, n - 3)] + wrap_trio(n)
     return minimalize(gens, n)
 
 
 def displayed_u1_j3(n: int) -> MonomialIdeal:
     """(u_1, ..., u_{n-3}, x_n)."""
-    gens = [_u(n, i) for i in range(1, n - 2)] + [1 << (n - 1)]
+    gens = [cycle_window(n, i) for i in range(1, n - 2)] + [1 << (n - 1)]
     return minimalize(gens, n)
 
 
 def wrap_trio(n: int) -> list[int]:
     """The three wrap generators with x_n divided out."""
     xn = 1 << (n - 1)
-    return [_u(n, n - 2) & ~xn, _u(n, n - 1) & ~xn, _u(n, n) & ~xn]
+    return [cycle_window(n, i) & ~xn for i in (n - 2, n - 1, n)]
 
 
 def block(n: int, t: int) -> list[int]:
     """Block t of the proof towers: u_{4t-2}/x_{4t}, u_{4t-1}/x_{4t}, u_{4t}/x_{4t}."""
     x4t = 1 << (4 * t - 1)
-    return [_u(n, 4 * t - 2) & ~x4t, _u(n, 4 * t - 1) & ~x4t, _u(n, 4 * t) & ~x4t]
+    return [cycle_window(n, i) & ~x4t for i in (4 * t - 2, 4 * t - 1, 4 * t)]
 
 
 def expected_v_w(n: int, step: int):
@@ -148,13 +135,13 @@ def expected_v_w(n: int, step: int):
             w_lo = 4 * (k - 2)
         else:
             w_lo = 4 * (step - 1) + 1
-        w = [_u(n, i) for i in range(w_lo, n - 3)]
+        w = [cycle_window(n, i) for i in range(w_lo, n - 3)]
         return v, w, 3 * (step - 1) + 1
     # final step
     if r == 1:
         v = wrap_trio(n) + [g for t in range(1, k - 2) for g in block(n, t)]
         x = 1 << (4 * (k - 2) - 2)  # x_{4(k-2)-1}
-        v += [_u(n, 4 * (k - 2) - 2) & ~x, _u(n, 4 * (k - 2) - 1) & ~x]
+        v += [cycle_window(n, i) & ~x for i in (4 * (k - 2) - 2, 4 * (k - 2) - 1)]
         order = n - k
     else:
         v = wrap_trio(n) + [g for t in range(1, k - 1) for g in block(n, t)]

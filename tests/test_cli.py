@@ -109,6 +109,28 @@ def test_verify_json_format(capsys):
     assert all(row["status"] == "MATCH" for row in data)
 
 
+def test_budget_limited_certificates_say_inexact(tmp_path, capsys):
+    argv = ["--graph", "cycle", "--n", "9", "--m", "3", "--budget-nodes", "5"]
+    assert run_command(["decomp", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["exact"] is False
+    cert = tmp_path / "cert.json"
+    assert run_command(["sdepth", *argv, "--certificate", str(cert)]) == 0
+    assert capsys.readouterr().out.startswith("unknown >=")
+    assert json.loads(cert.read_text())["exact"] is False
+    # an exact certificate carries no marker
+    assert run_command(["decomp", *argv[:6]]) == 0
+    assert "exact" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-1"])
+def test_bad_thread_count_exits_two(value, monkeypatch, capsys):
+    monkeypatch.setenv("PATHDEPTH_THREADS", value)
+    assert run_command(["verify", "--suite", "prop1", "--n-min", "4",
+                        "--n-max", "4"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: PATHDEPTH_THREADS must be a positive integer, got {value!r}")
+
+
 @pytest.mark.parametrize("argv", [
     ["depth"],                                          # module unspecified
     ["depth", "--graph", "line", "--n", "4"],           # m missing

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from pathdepth.oracle import (MATCH, SKIPPED, VIOLATION, WITHIN_BOUNDS,
-                              Expectation, compute_row, expectation,
-                              family_module, phi, verify_suite)
+from pathdepth.betti import HOCHSTER_MAX_N
+from pathdepth.cli import run_command
+from pathdepth.oracle import (FAMILIES, MATCH, SKIPPED, VIOLATION,
+                              WITHIN_BOUNDS, Expectation, compute_row,
+                              expectation, family_module, phi, verify_suite)
 
 
 def test_phi_values():
@@ -132,3 +134,41 @@ def test_violation_detection():
     assert not report.has_violation
     report.rows[0].status = VIOLATION
     assert report.has_violation
+
+
+def test_depth_rows_past_engine_cap_are_skipped():
+    n = HOCHSTER_MAX_N + 1
+    report = verify_suite("j2", n, n, depth_n_cap=n + 3, sdepth_n_cap=0)
+    depth = [r for r in report.rows if r.quantity == "depth"]
+    assert [r.status for r in depth] == [SKIPPED]
+    assert f"cap {HOCHSTER_MAX_N}" in depth[0].note
+
+
+def test_process_pool_gives_the_serial_rows():
+    def rows(threads):
+        obj = verify_suite("j3", 4, 7, threads=threads).to_json_obj()
+        for r in obj:
+            del r["elapsed"]
+        return obj
+    assert rows(2) == rows(1)
+
+
+def test_family_registry_drives_expectations_modules_and_suite(capsys):
+    for name, fam in FAMILIES.items():
+        for n in range(fam.suite_n_min, 10):
+            # every cap at 0: the suite lists its rows without computing them
+            report = verify_suite(name, n, n, depth_n_cap=0, sdepth_n_cap=0)
+            assert {r.m for r in report.rows} == set(fam.suite_ms(n))
+            assert {r.quantity for r in report.rows} == set(fam.quantities)
+            for m in fam.suite_ms(n):
+                for quantity in ("depth", "sdepth", "stanley_inequality"):
+                    if quantity in fam.quantities:
+                        assert expectation(name, n, quantity, m=m)
+                    else:
+                        with pytest.raises(ValueError):
+                            expectation(name, n, quantity, m=m)
+                j, i = family_module(name, n, m)
+                assert j.n == i.n == n
+                assert all(j.contains(g) for g in i.gens)
+    assert run_command(["verify", "--help"]) == 0
+    assert "{" + ",".join(["all", *FAMILIES]) + "}" in capsys.readouterr().out

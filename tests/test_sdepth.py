@@ -154,16 +154,6 @@ def test_validate_rejects_wrong_claim():
     assert not result and "claimed" in result.reason
 
 
-def test_symmetry_option_changes_nothing():
-    n = 6
-    j, i = MonomialIdeal.whole_ring(n), cycle_ideal(n, 3)
-    rots = [VarPermutation.rotation(n, s) for s in range(n)]
-    plain = stanley_depth(j, i)
-    symmetric = stanley_depth(j, i, symmetry=rots)
-    assert plain.sdepth == symmetric.sdepth
-    assert validate_decomposition(symmetric.certificate, j, i)
-
-
 def test_relabel_invariance_of_sdepth():
     rng = random.Random(99)
     for n, m in ((5, 2), (6, 3), (7, 4)):
