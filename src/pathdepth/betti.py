@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .ideals import MonomialIdeal, monomial_vars, divides
 from .homology import chain_homology_ranks, reduced_homology_ranks
+from .linalg import INT64_SAFE
 
 HOCHSTER_MAX_N = 16
 TAYLOR_MAX_GENS = 12
@@ -32,12 +33,17 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """Coefficient field: rationals (p=None) or the prime field GF(p)."""
+    """Coefficient field: rationals (p=None) or GF(p) for a prime p < 2^31."""
 
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        if self.p >= INT64_SAFE:
+            raise ValueError(f"prime {self.p} is not below 2^31, so modular "
+                             "rank would overflow int64")
+        if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     def __str__(self):

@@ -22,6 +22,17 @@ class UsageError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _field(name: str) -> Field:
     if name == "q":
         return RATIONALS
@@ -149,6 +160,8 @@ def cmd_decomp(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n_min > args.n_max:
+        raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     report = verify_suite(args.suite, args.n_min, args.n_max,
                           field_choice=_field(args.field),
                           node_budget=args.budget_nodes,
@@ -204,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sdepth", help="Stanley depth of S/I or J/I")
     _add_module_opts(p)
     p.add_argument("--certificate", help="write the certificate JSON here")
-    p.add_argument("--budget-nodes", type=int)
+    p.add_argument("--budget-nodes", type=_positive_int)
     p.set_defaults(func=cmd_sdepth)
 
     p = sub.add_parser("decomp", help="emit or check a Stanley decomposition")
     _add_module_opts(p)
     p.add_argument("--check", help="validate this certificate JSON instead")
-    p.add_argument("--budget-nodes", type=int)
+    p.add_argument("--budget-nodes", type=_positive_int)
     p.set_defaults(func=cmd_decomp)
 
     p = sub.add_parser("verify", help="run the verification harness")
@@ -218,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=9)
     p.add_argument("--field", choices=["q", "f2"], default="q")
-    p.add_argument("--budget-nodes", type=int)
+    p.add_argument("--budget-nodes", type=_positive_int)
     p.add_argument("--depth-cap", type=int, default=DEPTH_N_CAP)
     p.add_argument("--sdepth-cap", type=int, default=SDEPTH_N_CAP)
     p.add_argument("--format", choices=["json", "csv", "table"],
@@ -236,10 +249,7 @@ def run_command(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,8 @@ multidegrees.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from .linalg import rank_bareiss, rank_mod_p
@@ -70,17 +72,73 @@ def chain_homology_ranks(cells: dict[int, list[int]], field) -> list[int]:
             for s in range(top + 1)]
 
 
+def _pair_off(work: deque, alive: set[int], bits: list[int]) -> None:
+    """Remove reducible cells from alive, testing those queued in work.
+
+    A cell with exactly one facet left (a coreduction) or exactly one
+    cofacet left (a free face) goes together with that partner, and the
+    neighbours of both are queued again.
+    """
+    while work:
+        c = work.popleft()
+        if c not in alive:
+            continue
+        near = [x for x in [c ^ b for b in bits] if x in alive]
+        down = [x for x in near if x < c]
+        if len(down) == 1:
+            partner = down[0]
+        elif len(near) - len(down) == 1:
+            partner = max(near)
+        else:
+            continue
+        alive.discard(c)
+        alive.discard(partner)
+        work.extend(near)
+        work.extend([x for x in [partner ^ b for b in bits] if x in alive])
+
+
+def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
+    """Cells of a complex left after coreductions and free-face collapses,
+    keyed by bit count.
+
+    faces is the ascending face list, the empty face first.  Both kinds of
+    pair have incidence ±1.  A coreduced cell's boundary is its partner
+    alone, and no other cell has a free face in its boundary, so the cells
+    left carry the old boundary restricted to them and have the same
+    homology over every field.  The sweep starts at the empty face and the
+    first vertex, which coreduces it; a second sweep tests every cell left,
+    including those no removal reached.
+    """
+    alive = set(faces)
+    union = 0
+    for f in faces:
+        union |= f
+    bits = [1 << i for i in range(union.bit_length()) if union >> i & 1]
+    _pair_off(deque(faces[:2]), alive, bits)
+    _pair_off(deque(sorted(alive)), alive, bits)
+    cells: dict[int, list[int]] = {}
+    for f in sorted(alive):
+        cells.setdefault(f.bit_count(), []).append(f)
+    return cells
+
+
 def reduced_homology_ranks(faces, field, *, check_closed: bool = True) -> dict[int, int]:
-    """Ranks of reduced homology H̃_d, d = -1..dim, over the given field."""
+    """Ranks of reduced homology H̃_d, d = -1..dim, over the given field.
+
+    Only the cells left by reduce_faces reach the rank step.
+    """
     face_list = sorted(set(faces))
     if check_closed:
         validate_closed(face_list)
     if not face_list:
         return {}
-    by_size: dict[int, list[int]] = {}
-    for f in face_list:
-        by_size.setdefault(f.bit_count(), []).append(f)
-    if 0 not in by_size:
+    top = max(f.bit_count() for f in face_list)
+    ranks = {d: 0 for d in range(-1, top)}
+    if face_list[0] != 0:
         # no empty face: treat the input as a void complex
-        return {d: 0 for d in range(-1, max(by_size))}
-    return {s - 1: h for s, h in enumerate(chain_homology_ranks(by_size, field))}
+        return ranks
+    cells = reduce_faces(face_list)
+    if cells:
+        ranks.update((s - 1, h) for s, h in
+                     enumerate(chain_homology_ranks(cells, field)))
+    return ranks

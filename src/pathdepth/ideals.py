@@ -187,7 +187,11 @@ class MonomialIdeal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonomialIdeal":
-        return cls.from_vars(int(data["n"]), data["gens"])
+        """Ideal from {"n": .., "gens": [[..], ..]}; ValueError if malformed."""
+        try:
+            return cls.from_vars(int(data["n"]), data["gens"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed ideal data: {exc!r}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "MonomialIdeal":

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# entries above this could overflow int64 in the next update step
-_INT64_SAFE = 1 << 31
+# entries at or above this could overflow int64 in the next update step;
+# rank_mod_p keeps its entries below p, so primes must stay below it too
+INT64_SAFE = 1 << 31
 
 
 def rank_bareiss(matrix) -> int:
@@ -35,7 +36,7 @@ def rank_bareiss(matrix) -> int:
         if r + 1 < rows:
             if a.dtype == np.int64:
                 m = max(int(np.abs(a[r:]).max()), abs(int(piv)))
-                if m > _INT64_SAFE:
+                if m >= INT64_SAFE:
                     a = a.astype(object)
             below = a[r + 1:, c].copy()
             a[r + 1:, c + 1:] = (a[r + 1:, c + 1:] * piv

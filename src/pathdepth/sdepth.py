@@ -84,9 +84,13 @@ class StanleyCertificate:
 
     @classmethod
     def from_dict(cls, data: dict, n: int) -> "StanleyCertificate":
-        ivs = [Interval(monomial(d["lower"], n), monomial(d["upper"], n))
-               for d in data["intervals"]]
-        return cls(ivs, int(data["sdepth"]))
+        """Certificate from its to_dict form; ValueError if malformed."""
+        try:
+            ivs = [Interval(monomial(d["lower"], n), monomial(d["upper"], n))
+                   for d in data["intervals"]]
+            return cls(ivs, int(data["sdepth"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed certificate: {exc!r}") from exc
 
 
 @dataclass

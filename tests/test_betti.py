@@ -105,3 +105,9 @@ def test_rank_helpers_agree():
         # so a large prime sees the rational rank exactly
         assert rank_mod_p(mat, 2) <= r_q
         assert rank_mod_p(mat, 1000003) == r_q
+
+
+def test_bareiss_leaves_int64_at_two_to_the_31():
+    # entries of exactly 2^31 can push the next update step to 2^63
+    mat = [[2**31, 2**31, -1], [0, -1, -1], [-2**31, 2**31, 1]]
+    assert rank_bareiss(mat) == 3

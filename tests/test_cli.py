@@ -144,6 +144,46 @@ def test_usage_errors_exit_two(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sdepth", "--graph", "cycle", "--n", "6", "--m", "3"],
+    ["decomp", "--graph", "cycle", "--n", "6", "--m", "3"],
+    ["verify", "--suite", "prop1", "--n-min", "4", "--n-max", "4"],
+])
+@pytest.mark.parametrize("budget", ["-1", "0", "x"])
+def test_budget_must_be_positive(argv, budget, capsys):
+    assert run_command([*argv, "--budget-nodes", budget]) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_min, n_max", [(9, 3), (5, 4)])
+def test_verify_rejects_empty_n_range(n_min, n_max, capsys):
+    assert run_command(["verify", "--n-min", str(n_min),
+                        "--n-max", str(n_max)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == \
+        f"error: --n-min {n_min} exceeds --n-max {n_max}"
+
+
+@pytest.mark.parametrize("text", [None, "[1]", '{"n": 3}', '{"n": 3, "gens": 5}'])
+def test_bad_ideal_file_exits_two(text, tmp_path, capsys):
+    path = tmp_path / "ideal.json"
+    if text is not None:
+        path.write_text(text)
+    assert run_command(["depth", "--ideal-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [{"sdepth": 1}, {"intervals": [{}]}, [1]])
+def test_malformed_certificate_exits_two(data, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(data))
+    assert run_command(["decomp", "--graph", "cycle", "--n", "4", "--m", "3",
+                        "--check", str(cert)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed certificate")
+
+
 def test_depth_of_zero_module_rejected(capsys, tmp_path):
     path = tmp_path / "unit.json"
     path.write_text(json.dumps({"n": 3, "gens": [[]]}))

@@ -1,13 +1,19 @@
 """Reduced simplicial homology over Q and GF(p)."""
 
+import random
 from itertools import combinations
 
 import pytest
 
 from pathdepth.betti import GF2, RATIONALS, Field
-from pathdepth.homology import (boundary_matrix, reduced_homology_ranks,
+from pathdepth.homology import (boundary_matrix, chain_homology_ranks,
+                                reduce_faces, reduced_homology_ranks,
                                 validate_closed)
 from pathdepth.ideals import monomial
+
+FIELDS = [RATIONALS, GF2, Field(3)]
+RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+       (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
 
 
 def _closure(facets, n):
@@ -60,9 +66,7 @@ def test_hollow_tetrahedron_is_a_sphere():
 
 
 def test_projective_plane_depends_on_field():
-    tris = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-            (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
-    faces = _closure(tris, 6)
+    faces = _closure(RP2, 6)
     assert reduced_homology_ranks(faces, RATIONALS) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert reduced_homology_ranks(faces, GF2) == {-1: 0, 0: 0, 1: 1, 2: 1}
     # torsion is 2-torsion only, so odd primes agree with Q
@@ -87,8 +91,47 @@ def test_boundary_matrix_squares_to_zero():
     assert not (d1 @ d2).any()
 
 
+def _unreduced_ranks(faces, field):
+    """Reduced homology ranks from the boundary matrices of every face."""
+    cells = {}
+    for f in sorted(faces):
+        cells.setdefault(f.bit_count(), []).append(f)
+    return {s - 1: h for s, h in enumerate(chain_homology_ranks(cells, field))}
+
+
+def _random_complexes(count, seed=11):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        top = rng.randint(1, n)
+        facets = [rng.sample(range(1, n + 1), rng.randint(1, top))
+                  for _ in range(rng.randint(1, 10))]
+        yield _closure(facets, n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_reduction_keeps_homology(field):
+    # RP^2 first: its H̃_1 and H̃_2 differ between Q and GF(2)
+    for faces in [_closure(RP2, 6), *_random_complexes(150)]:
+        assert reduced_homology_ranks(faces, field) == \
+            _unreduced_ranks(faces, field)
+
+
+def test_cone_and_simplex_reduce_to_nothing():
+    cone = _closure([(*t, 7) for t in RP2], 7)
+    simplex = _closure([range(1, 6)], 5)
+    for faces in (cone, simplex):
+        assert reduce_faces(sorted(faces)) == {}
+        assert set(reduced_homology_ranks(faces, RATIONALS).values()) == {0}
+
+
 def test_field_validation():
     with pytest.raises(ValueError):
         Field(4)
+    # modular rank works in int64, so the prime must stay below 2^31
+    for big in (2**31, 2**61 - 1):
+        with pytest.raises(ValueError, match="2\\^31"):
+            Field(big)
+    assert Field(2**31 - 1).p == 2**31 - 1
     assert str(Field(7)) == "GF(7)"
     assert str(RATIONALS) == "Q"
