@@ -48,7 +48,14 @@ def rank_bareiss(matrix) -> int:
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank over GF(p) by modular Gaussian elimination."""
+    """Rank over GF(p) by modular Gaussian elimination.
+
+    Refuses p >= INT64_SAFE: products of entries below p would overflow
+    int64 and the rank would come out silently wrong.
+    """
+    if p >= INT64_SAFE:
+        raise ValueError(f"prime {p} is not below 2^31, so modular rank "
+                         "would overflow int64")
     a = np.array(matrix, dtype=np.int64, copy=True) % p
     if a.ndim != 2 or a.size == 0:
         return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .ideals import MonomialIdeal, monomial, monomial_vars, divides
@@ -26,6 +27,59 @@ class BudgetExceeded(Exception):
     """Raised internally when the node budget runs out."""
 
 
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, ascending."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+class SearchIndex:
+    """Everything the cover search needs of a poset that does not depend on k.
+
+    Elements are numbered in (size, lex) order, so each size is a run of
+    consecutive numbers.  ``up[i]`` and ``down[i]`` are bitmaps over those
+    numbers of the elements above and below element i (itself included),
+    ``levels[l]`` is the bitmap of the elements of size l and
+    ``with_var[v]`` that of the elements containing x_{v+1}.
+    """
+
+    def __init__(self, poset: "CharPoset"):
+        self.n = n = poset.n
+        self.order = sorted(poset.elements,
+                            key=lambda s: (s.bit_count(), monomial_vars(s)))
+        self.index = {s: i for i, s in enumerate(self.order)}
+        self.levels = [0] * (n + 1)
+        for i, s in enumerate(self.order):
+            self.levels[s.bit_count()] |= 1 << i
+        above = self._zeta(upward=True)
+        below = self._zeta(upward=False)
+        self.up = [above[s] for s in self.order]
+        self.down = [below[s] for s in self.order]
+        self.with_var = [above[1 << v] for v in range(n)]
+
+    def _zeta(self, upward: bool) -> list[int]:
+        """Per mask of all 2^n, the bitmap of the elements above (or below) it.
+
+        A subset zeta transform, n·2^(n-1) ORs: masks outside the poset pass
+        bits through, so J \\ I need not be convex.
+        """
+        acc = [0] * (1 << self.n)
+        for s, i in self.index.items():
+            acc[s] = 1 << i
+        for b in range(self.n):
+            bit = 1 << b
+            for base in range(0, 1 << self.n, bit << 1):
+                for lo in range(base, base + bit):
+                    if upward:
+                        acc[lo] |= acc[lo | bit]
+                    else:
+                        acc[lo | bit] |= acc[lo]
+        return acc
+
+
 @dataclass(frozen=True)
 class CharPoset:
     """Subsets σ with x^σ ∈ J \\ I, as bitmasks, ordered by inclusion."""
@@ -33,12 +87,14 @@ class CharPoset:
     n: int
     elements: frozenset[int]
 
+    @cached_property
+    def search_index(self) -> SearchIndex:
+        """Built on first use and then shared by every decision on this poset."""
+        return SearchIndex(self)
+
     def maximal_elements(self) -> list[int]:
-        out = []
-        for s in self.elements:
-            if not any(t != s and divides(s, t) for t in self.elements):
-                out.append(s)
-        return sorted(out)
+        ix = self.search_index
+        return sorted(s for i, s in enumerate(ix.order) if ix.up[i] == 1 << i)
 
 
 @dataclass(frozen=True)
@@ -141,44 +197,36 @@ class _CoverSearch:
     would itself still be uncovered.
     """
 
-    def __init__(self, poset: CharPoset, k: int, budget=None):
-        self.n = poset.n
+    def __init__(self, index: SearchIndex, k: int, budget=None):
+        self.ix = index
         self.k = k
         self.budget = budget
         self.nodes = 0
-        order = sorted(poset.elements, key=lambda s: (s.bit_count(), monomial_vars(s)))
-        self.order = order
-        self.index = {s: i for i, s in enumerate(order)}
-        self.low = [s for s in order if s.bit_count() < k]
-        self.low_indices = [self.index[s] for s in self.low]
-        self.sizes = [s.bit_count() for s in order]
-        tops = [s for s in order if s.bit_count() == k]
-        self.elements = poset.elements
-        # per low element: candidate (top, cube bitmap) pairs in lex order,
-        # and the bitmap of candidate top positions for fast counting
+        self.levels = index.levels[:k + 1]
+        self.n_low = sum(m.bit_count() for m in self.levels[:k])
+        # per low element s, the bitmap of the size-k tops t with [s,t] in the
+        # poset: that holds iff s is in it and, for each variable v of t
+        # outside s, so is [s+v,t].  Larger elements come first, so the tops
+        # of s+v are known when s needs them; an s+v of size k is its own
+        # only top, and an s+v outside the poset rules out every t through v.
+        self.cand_topbits = [0] * self.n_low
+        up, number, with_var = index.up, index.index, index.with_var
+        tops = self.levels[k]
+        every_var = (1 << index.n) - 1
+        for i in reversed(range(self.n_low)):
+            s = index.order[i]
+            live = up[i] & tops
+            for v in _bits(every_var & ~s):
+                j = number.get(s | 1 << v)
+                if j is None:
+                    live &= ~with_var[v]
+                elif j < self.n_low:
+                    live &= self.cand_topbits[j] | ~up[j]
+            self.cand_topbits[i] = live
+        # (top, cube) pairs of the elements branched on, built on first use
         self.cands: dict[int, list[tuple[int, int]]] = {}
-        self.cand_topbits: list[int] = [0] * len(order)
-        for s in self.low:
-            pairs = []
-            bits = 0
-            for t in tops:
-                if not divides(s, t):
-                    continue
-                cube = self._cube_bitmap(s, t)
-                if cube is None:
-                    continue
-                pairs.append((t, cube))
-                bits |= 1 << self.index[t]
-            self.cands[s] = pairs
-            self.cand_topbits[self.index[s]] = bits
-        self.memo_on = len(order) <= 4096
+        self.memo_on = len(index.order) <= 4096
         self.failed: set[int] = set()
-        # per-size bitmaps over element indices, for the level-count check
-        self.level_masks = [0] * (k + 1)
-        for i, s in enumerate(order):
-            size = self.sizes[i]
-            if size <= k:
-                self.level_masks[size] |= 1 << i
         self.binom = [[comb(k - s, l - s) if l >= s else 0 for l in range(k)]
                       for s in range(k)]
 
@@ -187,24 +235,19 @@ class _CoverSearch:
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExceeded
 
-    def _cube_bitmap(self, lower: int, upper: int) -> int | None:
-        diff = upper ^ lower
-        cube = 0
-        sub = diff
-        while True:
-            i = self.index.get(lower | sub)
-            if i is None:
-                return None  # interval leaves the poset
-            cube |= 1 << i
-            if sub == 0:
-                return cube
-            sub = (sub - 1) & diff
+    def _candidates(self, i: int) -> list[tuple[int, int]]:
+        pairs = self.cands.get(i)
+        if pairs is None:
+            up_i, down = self.ix.up[i], self.ix.down
+            pairs = [(t, up_i & down[t]) for t in _bits(self.cand_topbits[i])]
+            self.cands[i] = pairs
+        return pairs
 
     def run(self) -> list[Interval] | None:
-        if any(not c for c in self.cands.values()):
+        if not all(self.cand_topbits):
             return None
-        full = (1 << len(self.order)) - 1
-        return self._search(full, [])
+        full = (1 << len(self.ix.order)) - 1
+        return self._search(full, 0, [])
 
     def _level_counts_feasible(self, uncovered: int) -> bool:
         """Exact counting invariant on the remaining cover problem.
@@ -217,8 +260,7 @@ class _CoverSearch:
         total above the number of free size-k elements is a contradiction.
         """
         k = self.k
-        counts = [(self.level_masks[l] & uncovered).bit_count()
-                  for l in range(k + 1)]
+        counts = [(level & uncovered).bit_count() for level in self.levels]
         forced = [0] * k
         total = 0
         for l in range(k):
@@ -231,47 +273,50 @@ class _CoverSearch:
             total += need
         return total <= counts[k]
 
-    def _pick_branch(self, uncovered: int) -> tuple[int, int] | None:
-        """Among uncovered minimal-size low elements, the one with fewest
-        live tops.  Returns (element, live count), count 0 if some low
-        element anywhere is stuck, or None if every low element is covered.
-        The full scan doubles as a dead-element prune."""
-        best = None
-        best_count = -1
-        min_size = -1
-        for i in self.low_indices:
-            if not uncovered >> i & 1:
-                continue
+    def _pick_branch(self, uncovered: int) -> int | None:
+        """Among the uncovered low elements of minimal size, the one with the
+        fewest live tops (ties to the lowest number); None if every low
+        element is covered.  Assumes no uncovered low element is dead."""
+        for level in self.levels[:self.k]:
+            live = level & uncovered
+            if live:
+                break
+        else:
+            return None
+        best, best_count = -1, -1
+        for i in _bits(live):
             count = (self.cand_topbits[i] & uncovered).bit_count()
-            if count == 0:
-                return self.order[i], 0
-            if min_size < 0:
-                min_size = self.sizes[i]  # low_indices is (size, lex) sorted
-            if self.sizes[i] == min_size and (best is None or count < best_count):
-                best, best_count = self.order[i], count
-        if best is None:
-            return None
-        return best, best_count
+            if best < 0 or count < best_count:
+                best, best_count = i, count
+                if count == 1:
+                    break
+        return best
 
-    def _search(self, uncovered: int, acc: list[Interval]) -> list[Interval] | None:
+    def _search(self, uncovered: int, touched: int,
+                acc: list[Interval]) -> list[Interval] | None:
+        """Search below the state ``uncovered``.  Only the elements in
+        ``touched`` can have lost their last live top since the parent
+        state: placing [s,t] takes t, the one size-k element of its cube,
+        off the live tops of exactly the elements below t."""
         self._bump()
-        picked = self._pick_branch(uncovered)
-        if picked is None:
+        for i in _bits(touched & uncovered):
+            if not self.cand_topbits[i] & uncovered:
+                return None
+        branch = self._pick_branch(uncovered)
+        if branch is None:
             return list(acc)
-        branch, live = picked
-        if live == 0:
-            return None
         if self.memo_on and uncovered in self.failed:
             return None
         if not self._level_counts_feasible(uncovered):
             if self.memo_on:
                 self.failed.add(uncovered)
             return None
-        for top, cube in self.cands[branch]:
+        order, down = self.ix.order, self.ix.down
+        for top, cube in self._candidates(branch):
             if cube & uncovered != cube:
                 continue
-            acc.append(Interval(branch, top))
-            res = self._search(uncovered & ~cube, acc)
+            acc.append(Interval(order[branch], order[top]))
+            res = self._search(uncovered & ~cube, down[top], acc)
             if res is not None:
                 return res
             acc.pop()
@@ -288,7 +333,7 @@ def sdepth_at_least(poset: CharPoset, k: int, budget=None):
     """
     if k < 0 or k > poset.n:
         raise ValueError(f"k={k} outside 0..{poset.n}")
-    search = _CoverSearch(poset, k, budget=budget)
+    search = _CoverSearch(poset.search_index, k, budget=budget)
     intervals = search.run()
     if intervals is None:
         return None, search.nodes

@@ -111,3 +111,11 @@ def test_bareiss_leaves_int64_at_two_to_the_31():
     # entries of exactly 2^31 can push the next update step to 2^63
     mat = [[2**31, 2**31, -1], [0, -1, -1], [-2**31, 2**31, 1]]
     assert rank_bareiss(mat) == 3
+
+
+@pytest.mark.parametrize("p", [2**31, 2**61 - 1])
+def test_rank_mod_p_refuses_primes_past_int64(p):
+    # called directly, without a Field, it used to return wrong ranks
+    with pytest.raises(ValueError, match="2\\^31"):
+        rank_mod_p([[1, 2], [2, 4]], p)
+    assert rank_mod_p([[1, 2], [2, 4]], 2**31 - 1) == 1

@@ -1,9 +1,14 @@
 """Command-line interface behaviour and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pathdepth
 from pathdepth.cli import run_command
 
 
@@ -189,3 +194,15 @@ def test_depth_of_zero_module_rejected(capsys, tmp_path):
     path.write_text(json.dumps({"n": 3, "gens": [[]]}))
     assert run_command(["depth", "--ideal-file", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(pathdepth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathdepth", "verify", "--suite", "max",
+         "--n-min", "3", "--n-max", "4"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "MATCH" in proc.stdout

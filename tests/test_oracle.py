@@ -136,6 +136,14 @@ def test_violation_detection():
     assert report.has_violation
 
 
+@pytest.mark.parametrize("family, sdepth", [("jn2", 7), ("j2", 4), ("j3", 5)])
+def test_default_sdepth_cap_settles_n10(family, sdepth):
+    # exact values inside the stated bounds, under the default caps
+    report = verify_suite(family, 10, 10, depth_n_cap=0)
+    rows = [r for r in report.rows if r.quantity == "sdepth"]
+    assert [(r.computed, r.status) for r in rows] == [(sdepth, WITHIN_BOUNDS)]
+
+
 def test_depth_rows_past_engine_cap_are_skipped():
     n = HOCHSTER_MAX_N + 1
     report = verify_suite("j2", n, n, depth_n_cap=n + 3, sdepth_n_cap=0)

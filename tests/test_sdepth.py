@@ -1,14 +1,15 @@
 """Stanley depth: characteristic posets, search, certificates, validation."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathdepth.graphs import cycle_ideal, line_ideal
-from pathdepth.ideals import MonomialIdeal, VarPermutation, monomial
+from pathdepth.ideals import MonomialIdeal, VarPermutation, divides, monomial
 from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval,
-                              StanleyCertificate, build_char_poset,
+                              StanleyCertificate, _CoverSearch, build_char_poset,
                               sdepth_at_least, stanley_depth,
                               validate_decomposition)
 
@@ -180,3 +181,115 @@ def test_random_quotients_validate(data):
     assert res.exact
     assert validate_decomposition(res.certificate, j, ideal)
     assert res.certificate.claimed_sdepth == res.sdepth
+
+
+def _random_pairs(count, seed):
+    """Seeded (J, I) pairs with I ⊆ J, n in 5..8, and J = S for about 40%."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(5, 8)
+        if rng.random() < 0.4:
+            j = MonomialIdeal.whole_ring(n)
+        else:
+            j = MonomialIdeal(n, tuple(
+                rng.randrange(1 << n) & rng.randrange(1 << n)
+                for _ in range(rng.randint(1, 3))))
+        i = MonomialIdeal(n, tuple(
+            rng.choice(j.gens)
+            | sum(1 << v for v in rng.sample(range(n), rng.randint(2, 4)))
+            for _ in range(rng.randint(2, 8))))
+        if i != j:
+            pairs.append((j, i))
+    return pairs
+
+
+# (sdepth, nodes, sha256 prefix of the certificate JSON) of _random_pairs(20, 4),
+# recorded with the engine that enumerated every cube for each k and rescanned
+# every element at each node: faster set-up and nodes must keep the search
+# tree and the certificates exactly as they were
+RANDOM_PAIR_PINS = [
+    (4, 24, '520991eb975b4594'),
+    (3, 19, '697f76c3e9b4c345'),
+    (3, 23, 'f8764780456ce28a'),
+    (3, 14, 'b9a5c3e4b268057f'),
+    (5, 17, '92034f02d35aa209'),
+    (4, 5, '2b86e7283e30cf28'),
+    (3, 14, '78e3c9199ddc6594'),
+    (6, 60, 'a4b1c12320cfe825'),
+    (4, 14, 'c37faac5d21629dd'),
+    (4, 7, 'd108cfc122177fc9'),
+    (3, 19, 'de1d128e1efb1644'),
+    (3, 19, '240ca7d3036912db'),
+    (5, 16, '68c9eab9c3a67838'),
+    (4, 12, '47b5bfa54ecfe17b'),
+    (5, 41, '54c9330ca36cc372'),
+    (5, 47, 'ca5b282e91a7dee9'),
+    (3, 19, '7a2c038fcc37ee70'),
+    (4, 26, '79e5280f9cb15a96'),
+    (3, 18, '3ce45a86bb1bc3c8'),
+    (4, 41, '2a48be8ad13c2c8e'),
+]
+
+NAMED_PINS = {
+    "cyc:9:3": (MonomialIdeal.whole_ring(9), cycle_ideal(9, 3), 5, 7805,
+                "416965d8933dd25bb25408f51455ba3f185999838ee753fe47626be17ab81c0b"),
+    "max:9": (line_ideal(9, 1), MonomialIdeal.zero(9), 5, 167,
+              "828e95d076e801b26e580e48bb14b47713063e539e002aeedd263d7a4fa9760c"),
+}
+
+
+def _digest(cert):
+    return hashlib.sha256(cert.to_json().encode()).hexdigest()
+
+
+def _assert_pinned_and_refuted(j, i, sdepth, nodes, digest):
+    res = stanley_depth(j, i)
+    assert res.exact
+    assert (res.sdepth, res.nodes) == (sdepth, nodes)
+    assert _digest(res.certificate).startswith(digest)
+    if sdepth < j.n:
+        cert, _ = sdepth_at_least(build_char_poset(j, i), sdepth + 1)
+        assert cert is None
+
+
+def test_search_tree_unchanged_on_random_pairs():
+    pairs = _random_pairs(20, 4)
+    for (j, i), pin in zip(pairs, RANDOM_PAIR_PINS, strict=True):
+        _assert_pinned_and_refuted(j, i, *pin)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_PINS))
+def test_search_tree_unchanged_on_named_instances(name):
+    _assert_pinned_and_refuted(*NAMED_PINS[name])
+
+
+def test_search_index_matches_pair_scan():
+    rng = random.Random(11)
+    posets = [build_char_poset(j, i) for j, i in _random_pairs(10, 5)]
+    # arbitrary element sets too: the index must not assume convexity
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        posets.append(CharPoset(n, frozenset(
+            s for s in range(1 << n) if rng.random() < 0.5)))
+    for poset in posets:
+        ix = poset.search_index
+        assert sorted(ix.order) == sorted(poset.elements)
+        for a, s in enumerate(ix.order):
+            assert ix.index[s] == a
+            assert ix.up[a] == sum(1 << b for b, t in enumerate(ix.order)
+                                   if divides(s, t))
+            assert ix.down[a] == sum(1 << b for b, t in enumerate(ix.order)
+                                     if divides(t, s))
+        assert poset.maximal_elements() == sorted(
+            s for s in poset.elements
+            if not any(t != s and divides(s, t) for t in poset.elements))
+        # the live tops of each k: every member of [s,t] in the poset
+        for k in range(poset.n + 1):
+            low = [s for s in ix.order if s.bit_count() < k]
+            assert _CoverSearch(ix, k).cand_topbits == [
+                sum(1 << b for b, t in enumerate(ix.order)
+                    if t.bit_count() == k and divides(s, t)
+                    and all(m in poset.elements
+                            for m in Interval(s, t).members()))
+                for s in low]
