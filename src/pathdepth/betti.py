@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ideals import MonomialIdeal, monomial_vars, divides
+from .ideals import TABLE_MAX_N, MonomialIdeal, monomial_vars, subsets
 from .homology import chain_homology_ranks, reduced_homology_ranks
 from .linalg import INT64_SAFE
 
-HOCHSTER_MAX_N = 16
+HOCHSTER_MAX_N = TABLE_MAX_N
 TAYLOR_MAX_GENS = 12
 
 
@@ -83,38 +83,20 @@ class BettiTable:
         return [(i, monomial_vars(s), b) for i, s, b in self.entries]
 
 
-def _restricted_faces(sigma: int, gens_in: list[int]) -> list[int]:
-    faces = []
-    sub = sigma
-    while True:
-        if not any(divides(g, sub) for g in gens_in):
-            faces.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & sigma
-    return faces
-
-
 @lru_cache(maxsize=4096)
 def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable:
     """All multigraded Betti numbers of S/I via Hochster's formula."""
     if ideal.is_whole_ring:
         raise ValueError("S/S is the zero module; no Betti table")
-    if ideal.n > HOCHSTER_MAX_N:
-        raise ValueError(f"ambient n={ideal.n} exceeds cap {HOCHSTER_MAX_N}")
     n = ideal.n
+    lcm = ideal.lcm_table()
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for sigma in range(1, 1 << n):
-        gens_in = [g for g in ideal.gens if divides(g, sigma)]
-        if not gens_in:
+        if lcm[sigma] != sigma:
+            # sigma is outside the ideal (a full simplex), or some vertex of
+            # sigma is a cone point: no reduced homology
             continue
-        covered = 0
-        for g in gens_in:
-            covered |= g
-        if covered != sigma:
-            # some vertex of sigma is a cone point: no reduced homology
-            continue
-        faces = _restricted_faces(sigma, gens_in)
+        faces = [sub for sub in subsets(sigma) if not lcm[sub]]
         ranks = reduced_homology_ranks(faces, field, check_closed=False)
         size = sigma.bit_count()
         for d, r in ranks.items():

@@ -45,8 +45,8 @@ def _load_module(args) -> tuple[MonomialIdeal, MonomialIdeal]:
     """Resolve the (J, I) pair from --graph/--n/--m or --ideal-file."""
     module = getattr(args, "module", "quotient")
     if getattr(args, "ideal_file", None):
-        if args.graph or args.m is not None:
-            raise UsageError("--ideal-file excludes --graph/--m")
+        if args.graph or args.n is not None or args.m is not None:
+            raise UsageError("--ideal-file excludes --graph/--n/--m")
         if module == "subquotient":
             raise UsageError("--module subquotient needs a named graph family")
         with open(args.ideal_file) as fh:

@@ -13,6 +13,7 @@ from collections import deque
 
 import numpy as np
 
+from .ideals import bits
 from .linalg import rank_bareiss, rank_mod_p
 
 
@@ -26,12 +27,9 @@ def validate_closed(faces) -> None:
     """Raise if the face list is not closed under taking subsets."""
     face_set = set(faces)
     for f in face_set:
-        m = f
-        while m:
-            low = m & -m
-            if f ^ low not in face_set:
+        for b in bits(f):
+            if f ^ 1 << b not in face_set:
                 raise ValueError(f"face list not downward closed at {bin(f)}")
-            m ^= low
 
 
 def boundary_matrix(lower: list[int], upper: list[int]) -> np.ndarray:
@@ -44,14 +42,11 @@ def boundary_matrix(lower: list[int], upper: list[int]) -> np.ndarray:
     mat = np.zeros((len(lower), len(upper)), dtype=np.int64)
     for j, f in enumerate(upper):
         sign = 1
-        m = f
-        while m:
-            low = m & -m
-            i = index.get(f ^ low)
+        for b in bits(f):
+            i = index.get(f ^ 1 << b)
             if i is not None:
                 mat[i, j] = sign
             sign = -sign
-            m ^= low
     return mat
 
 
@@ -72,7 +67,7 @@ def chain_homology_ranks(cells: dict[int, list[int]], field) -> list[int]:
             for s in range(top + 1)]
 
 
-def _pair_off(work: deque, alive: set[int], bits: list[int]) -> None:
+def _pair_off(work: deque, alive: set[int], vertices: list[int]) -> None:
     """Remove reducible cells from alive, testing those queued in work.
 
     A cell with exactly one facet left (a coreduction) or exactly one
@@ -83,7 +78,7 @@ def _pair_off(work: deque, alive: set[int], bits: list[int]) -> None:
         c = work.popleft()
         if c not in alive:
             continue
-        near = [x for x in [c ^ b for b in bits] if x in alive]
+        near = [x for x in [c ^ v for v in vertices] if x in alive]
         down = [x for x in near if x < c]
         if len(down) == 1:
             partner = down[0]
@@ -94,7 +89,7 @@ def _pair_off(work: deque, alive: set[int], bits: list[int]) -> None:
         alive.discard(c)
         alive.discard(partner)
         work.extend(near)
-        work.extend([x for x in [partner ^ b for b in bits] if x in alive])
+        work.extend([x for x in [partner ^ v for v in vertices] if x in alive])
 
 
 def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
@@ -113,9 +108,9 @@ def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
     union = 0
     for f in faces:
         union |= f
-    bits = [1 << i for i in range(union.bit_length()) if union >> i & 1]
-    _pair_off(deque(faces[:2]), alive, bits)
-    _pair_off(deque(sorted(alive)), alive, bits)
+    vertices = [1 << b for b in bits(union)]
+    _pair_off(deque(faces[:2]), alive, vertices)
+    _pair_off(deque(sorted(alive)), alive, vertices)
     cells: dict[int, list[int]] = {}
     for f in sorted(alive):
         cells.setdefault(f.bit_count(), []).append(f)

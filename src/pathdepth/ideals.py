@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 # All engines enumerate subsets of [n]; keep the ambient size bounded.
 MAX_AMBIENT = 24
+# Both engines tabulate all 2^n masks (MonomialIdeal.lcm_table), so their
+# n stops here.
+TABLE_MAX_N = 16
 
 
 def monomial(indices, n: int) -> int:
@@ -25,16 +28,45 @@ def monomial(indices, n: int) -> int:
     return mask
 
 
+def bits(mask: int):
+    """Positions of the set bits of ``mask``, ascending."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+def subsets(mask: int):
+    """Every submask of ``mask``, descending from ``mask`` to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def zeta(values: list[int], n: int, upward: bool) -> list[int]:
+    """Subset zeta transform of a table over all 2^n masks, in place.
+
+    Afterwards entry s is the OR of the old entries of every superset of s
+    (upward) or every subset of s; n·2^(n-1) ORs.
+    """
+    for b in range(n):
+        bit = 1 << b
+        for base in range(0, 1 << n, bit << 1):
+            for lo in range(base, base + bit):
+                if upward:
+                    values[lo] |= values[lo | bit]
+                else:
+                    values[lo | bit] |= values[lo]
+    return values
+
+
 def monomial_vars(mask: int) -> tuple[int, ...]:
     """Sorted 1-based variable indices of a monomial bitmask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple([i + 1 for i in bits(mask)])
 
 
 def divides(u: int, v: int) -> bool:
@@ -45,6 +77,11 @@ def divides(u: int, v: int) -> bool:
 def check_ambient(n: int) -> None:
     if not 1 <= n <= MAX_AMBIENT:
         raise ValueError(f"ambient variable count {n} outside 1..{MAX_AMBIENT}")
+
+
+def check_table_n(n: int) -> None:
+    if n > TABLE_MAX_N:
+        raise ValueError(f"ambient n={n} exceeds cap {TABLE_MAX_N}")
 
 
 def check_monomial(mask: int, n: int) -> None:
@@ -93,9 +130,8 @@ class VarPermutation:
 
     def apply(self, mask: int) -> int:
         out = 0
-        for i in range(1, self.n + 1):
-            if mask >> (i - 1) & 1:
-                out |= 1 << (self.images[i - 1] - 1)
+        for i in bits(mask):
+            out |= 1 << (self.images[i] - 1)
         return out
 
     def after(self, other: "VarPermutation") -> "VarPermutation":
@@ -154,6 +190,24 @@ class MonomialIdeal:
         """Ideal membership of a squarefree monomial."""
         check_monomial(mask, self.n)
         return any(divides(g, mask) for g in self.gens)
+
+    def lcm_table(self) -> list[int]:
+        """Per mask of all 2^n, the lcm of the generators dividing it.
+
+        A mask lies in a proper ideal iff its entry is nonzero.
+        """
+        check_table_n(self.n)
+        table = [0] * (1 << self.n)
+        for g in self.gens:
+            table[g] = g
+        return zeta(table, self.n, upward=False)
+
+    def member_table(self) -> list[bool]:
+        """Per mask of all 2^n, whether it lies in the ideal."""
+        if self.is_whole_ring:
+            check_table_n(self.n)
+            return [True] * (1 << self.n)
+        return [lcm != 0 for lcm in self.lcm_table()]
 
     # -- operations ---------------------------------------------------
 

@@ -12,9 +12,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .betti import HOCHSTER_MAX_N, Field, RATIONALS, depth_quotient
+from .betti import Field, RATIONALS, depth_quotient
 from .graphs import cycle_ideal, line_ideal
-from .ideals import MonomialIdeal
+from .ideals import TABLE_MAX_N, MonomialIdeal
 from .sdepth import stanley_depth
 
 
@@ -284,8 +284,9 @@ def verify_suite(suite: str, n_min: int, n_max: int,
             raise ValueError("PATHDEPTH_THREADS must be a positive integer, "
                              f"got {raw!r}")
         threads = int(raw)
-    # the Hochster engine refuses larger n, so past it depth rows are skipped
-    depth_n_cap = min(depth_n_cap, HOCHSTER_MAX_N)
+    # both engines refuse larger n, so past it their rows are skipped
+    depth_n_cap = min(depth_n_cap, TABLE_MAX_N)
+    sdepth_n_cap = min(sdepth_n_cap, TABLE_MAX_N)
     jobs = []
     skipped_rows = []
     for family, n, m, quantities in _suite_instances(suite, n_min, n_max):

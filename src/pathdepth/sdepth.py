@@ -20,20 +20,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .ideals import MonomialIdeal, monomial, monomial_vars, divides
+from .ideals import (MonomialIdeal, bits, check_table_n, divides, monomial,
+                     monomial_vars, subsets, zeta)
 
 
 class BudgetExceeded(Exception):
     """Raised internally when the node budget runs out."""
-
-
-def _bits(mask: int):
-    """Positions of the set bits of ``mask``, ascending."""
-    digits = bin(mask)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
 
 
 class SearchIndex:
@@ -54,30 +46,17 @@ class SearchIndex:
         self.levels = [0] * (n + 1)
         for i, s in enumerate(self.order):
             self.levels[s.bit_count()] |= 1 << i
-        above = self._zeta(upward=True)
-        below = self._zeta(upward=False)
+        # per mask of all 2^n, the bitmap of the elements above (below) it;
+        # masks outside the poset pass bits through, so J \ I need not be
+        # convex
+        own = [0] * (1 << n)
+        for s, i in self.index.items():
+            own[s] = 1 << i
+        above = zeta(own[:], n, upward=True)
+        below = zeta(own, n, upward=False)
         self.up = [above[s] for s in self.order]
         self.down = [below[s] for s in self.order]
         self.with_var = [above[1 << v] for v in range(n)]
-
-    def _zeta(self, upward: bool) -> list[int]:
-        """Per mask of all 2^n, the bitmap of the elements above (or below) it.
-
-        A subset zeta transform, n·2^(n-1) ORs: masks outside the poset pass
-        bits through, so J \\ I need not be convex.
-        """
-        acc = [0] * (1 << self.n)
-        for s, i in self.index.items():
-            acc[s] = 1 << i
-        for b in range(self.n):
-            bit = 1 << b
-            for base in range(0, 1 << self.n, bit << 1):
-                for lo in range(base, base + bit):
-                    if upward:
-                        acc[lo] |= acc[lo | bit]
-                    else:
-                        acc[lo | bit] |= acc[lo]
-        return acc
 
 
 @dataclass(frozen=True)
@@ -109,13 +88,7 @@ class Interval:
             raise ValueError("interval lower must divide upper")
 
     def members(self):
-        diff = self.upper ^ self.lower
-        sub = diff
-        while True:
-            yield self.lower | sub
-            if sub == 0:
-                return
-            sub = (sub - 1) & diff
+        return (self.lower | sub for sub in subsets(self.upper ^ self.lower))
 
 
 @dataclass
@@ -178,10 +151,10 @@ def build_char_poset(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal) -> CharPose
     for g in i_ideal.gens:
         if not j_ideal.contains(g):
             raise ValueError("I is not contained in J")
-    n = j_ideal.n
-    elems = frozenset(s for s in range(1 << n)
-                      if j_ideal.contains(s) and not i_ideal.contains(s))
-    return CharPoset(n, elems)
+    in_j, in_i = j_ideal.member_table(), i_ideal.member_table()
+    elems = frozenset(s for s, (j, i) in enumerate(zip(in_j, in_i))
+                      if j and not i)
+    return CharPoset(j_ideal.n, elems)
 
 
 class _CoverSearch:
@@ -216,7 +189,7 @@ class _CoverSearch:
         for i in reversed(range(self.n_low)):
             s = index.order[i]
             live = up[i] & tops
-            for v in _bits(every_var & ~s):
+            for v in bits(every_var & ~s):
                 j = number.get(s | 1 << v)
                 if j is None:
                     live &= ~with_var[v]
@@ -239,7 +212,7 @@ class _CoverSearch:
         pairs = self.cands.get(i)
         if pairs is None:
             up_i, down = self.ix.up[i], self.ix.down
-            pairs = [(t, up_i & down[t]) for t in _bits(self.cand_topbits[i])]
+            pairs = [(t, up_i & down[t]) for t in bits(self.cand_topbits[i])]
             self.cands[i] = pairs
         return pairs
 
@@ -284,7 +257,7 @@ class _CoverSearch:
         else:
             return None
         best, best_count = -1, -1
-        for i in _bits(live):
+        for i in bits(live):
             count = (self.cand_topbits[i] & uncovered).bit_count()
             if best < 0 or count < best_count:
                 best, best_count = i, count
@@ -299,7 +272,7 @@ class _CoverSearch:
         state: placing [s,t] takes t, the one size-k element of its cube,
         off the live tops of exactly the elements below t."""
         self._bump()
-        for i in _bits(touched & uncovered):
+        for i in bits(touched & uncovered):
             if not self.cand_topbits[i] & uncovered:
                 return None
         branch = self._pick_branch(uncovered)
@@ -376,7 +349,11 @@ def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
 def validate_decomposition(cert: StanleyCertificate,
                            j_ideal: MonomialIdeal,
                            i_ideal: MonomialIdeal) -> ValidationResult:
-    """Check that a certificate is a genuine interval partition of the poset."""
+    """Check that a certificate is a genuine interval partition of the poset.
+
+    A pair past the table cap is refused with ValueError, not judged.
+    """
+    check_table_n(j_ideal.n)
     try:
         poset = build_char_poset(j_ideal, i_ideal)
     except ValueError as exc:

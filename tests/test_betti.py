@@ -1,5 +1,6 @@
 """Betti numbers, projective dimension and depth of S/I."""
 
+import hashlib
 import math
 import random
 
@@ -119,3 +120,23 @@ def test_rank_mod_p_refuses_primes_past_int64(p):
     with pytest.raises(ValueError, match="2\\^31"):
         rank_mod_p([[1, 2], [2, 4]], p)
     assert rank_mod_p([[1, 2], [2, 4]], 2**31 - 1) == 1
+
+
+# sha256 of repr(hochster_betti(ideal, field).entries), recorded before the
+# Hochster route read its faces from the lcm table; the Taylor cross-checks
+# stop at n = 6
+BETTI_PINS_N10 = {
+    "line:10:2": "48fc40bb6bda51862c1b58fa9dd1d12b0110dcd95b3bdcc73c7de4af833c14d1",
+    "line:10:10": "b2ecf920a7d477028530f0781b68de363812091077981d614e26be79db10db1c",
+    "cyc:10:3": "ecfa75e2be62784584cdc11543738d2226b1902b2c293fd1bb2b0e422a7d75d7",
+}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2], ids=str)
+@pytest.mark.parametrize("name", sorted(BETTI_PINS_N10))
+def test_hochster_tables_pinned_at_n10(name, field):
+    graph, n, m = name.split(":")
+    ideal = (line_ideal if graph == "line" else cycle_ideal)(int(n), int(m))
+    entries = hochster_betti(ideal, field).entries
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert digest == BETTI_PINS_N10[name]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,7 @@ def test_bad_thread_count_exits_two(value, monkeypatch, capsys):
     ["depth", "--graph", "line", "--n", "4", "--m", "9"],  # m out of range
     ["sdepth", "--graph", "line", "--n", "4", "--m", "2",
      "--module", "subquotient"],                        # needs a cycle
+    ["depth", "--ideal-file", "ideal.json", "--n", "9"],  # n from the file
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert run_command(argv) == 2
@@ -187,6 +189,29 @@ def test_malformed_certificate_exits_two(data, tmp_path, capsys):
     assert run_command(["decomp", "--graph", "cycle", "--n", "4", "--m", "3",
                         "--check", str(cert)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed certificate")
+
+
+def test_ideal_file_excludes_n(tmp_path, capsys):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"n": 4, "gens": [[1, 2], [2, 3]]}))
+    assert run_command(["depth", "--ideal-file", str(path)]) == 0
+    capsys.readouterr()
+    assert run_command(["depth", "--ideal-file", str(path), "--n", "9"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: --ideal-file excludes --graph/--n/--m")
+
+
+@pytest.mark.parametrize("command", ["sdepth", "decomp", "decomp --check"])
+def test_sdepth_past_the_table_cap_exits_two(command, tmp_path, capsys):
+    argv = [*command.split(), "--graph", "line", "--n", "17", "--m", "17"]
+    if "--check" in argv:
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"sdepth": 0, "intervals": []}))
+        argv.insert(2, str(cert))
+    start = time.perf_counter()
+    assert run_command(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.strip() == "error: ambient n=17 exceeds cap 16"
 
 
 def test_depth_of_zero_module_rejected(capsys, tmp_path):

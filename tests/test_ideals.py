@@ -1,12 +1,14 @@
 """Monomial/ideal arithmetic: examples plus algebraic property tests."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathdepth.ideals import (MAX_AMBIENT, MonomialIdeal, VarPermutation,
-                              divides, minimalize, monomial, monomial_vars)
+from pathdepth.ideals import (MAX_AMBIENT, TABLE_MAX_N, MonomialIdeal,
+                              VarPermutation, bits, divides, minimalize,
+                              monomial, monomial_vars, subsets, zeta)
 
 
 def test_monomial_round_trip():
@@ -171,3 +173,66 @@ def test_relabel_commutes_with_colon(data):
     p = data.draw(permutations(ideal.n))
     u = data.draw(st.integers(min_value=0, max_value=(1 << ideal.n) - 1))
     assert ideal.colon(u).relabel(p) == ideal.relabel(p).colon(p.apply(u))
+
+
+def test_bits_and_subsets_match_brute_force():
+    n = 7
+    for mask in range(1 << n):
+        assert list(bits(mask)) == [i for i in range(n) if mask >> i & 1]
+        below = [s for s in range(1 << n) if divides(s, mask)]
+        assert list(subsets(mask)) == below[::-1]
+    wide = (1 << (MAX_AMBIENT - 1)) | 0b1011
+    assert list(bits(wide)) == [0, 1, 3, MAX_AMBIENT - 1]
+
+
+def test_zeta_matches_brute_force():
+    rng = random.Random(3)
+    n = 6
+    values = [rng.getrandbits(8) if rng.random() < 0.3 else 0
+              for _ in range(1 << n)]
+    up = zeta(list(values), n, upward=True)
+    down = zeta(list(values), n, upward=False)
+    for s in range(1 << n):
+        above = below = 0
+        for t in range(1 << n):
+            if divides(s, t):
+                above |= values[t]
+            if divides(t, s):
+                below |= values[t]
+        assert (up[s], down[s]) == (above, below)
+
+
+def _table_ideals():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        gens = [rng.randrange(1 << n) for _ in range(rng.randint(1, 6))]
+        yield MonomialIdeal(n, tuple(g for g in gens if g))
+    for n in (1, 5):
+        yield MonomialIdeal.zero(n)
+        yield MonomialIdeal.whole_ring(n)
+
+
+def test_tables_agree_with_contains_and_generators():
+    for ideal in _table_ideals():
+        members = ideal.member_table()
+        lcm = ideal.lcm_table()
+        for s in range(1 << ideal.n):
+            assert members[s] == ideal.contains(s)
+            expected = 0
+            for g in ideal.gens:
+                if divides(g, s):
+                    expected |= g
+            assert lcm[s] == expected
+
+
+def test_tables_stop_at_the_cap_but_contains_does_not():
+    n = TABLE_MAX_N + 1
+    for ideal in (MonomialIdeal.whole_ring(n), MonomialIdeal(n, (0b11,))):
+        with pytest.raises(ValueError, match=f"cap {TABLE_MAX_N}"):
+            ideal.member_table()
+        with pytest.raises(ValueError, match=f"cap {TABLE_MAX_N}"):
+            ideal.lcm_table()
+    wide = MonomialIdeal(MAX_AMBIENT, (0b11,))
+    assert wide.contains((1 << MAX_AMBIENT) - 1)
+    assert not wide.contains(1 << (MAX_AMBIENT - 1))

@@ -6,6 +6,7 @@ import pytest
 
 from pathdepth.betti import HOCHSTER_MAX_N
 from pathdepth.cli import run_command
+from pathdepth.ideals import TABLE_MAX_N
 from pathdepth.oracle import (FAMILIES, MATCH, SKIPPED, VIOLATION,
                               WITHIN_BOUNDS, Expectation, compute_row,
                               expectation, family_module, phi, verify_suite)
@@ -150,6 +151,14 @@ def test_depth_rows_past_engine_cap_are_skipped():
     depth = [r for r in report.rows if r.quantity == "depth"]
     assert [r.status for r in depth] == [SKIPPED]
     assert f"cap {HOCHSTER_MAX_N}" in depth[0].note
+
+
+def test_sdepth_rows_past_engine_cap_are_skipped():
+    n = TABLE_MAX_N + 1
+    report = verify_suite("j2", n, n, depth_n_cap=0, sdepth_n_cap=n + 3)
+    sdepth = [r for r in report.rows if r.quantity == "sdepth"]
+    assert [r.status for r in sdepth] == [SKIPPED]
+    assert f"cap {TABLE_MAX_N}" in sdepth[0].note
 
 
 def test_process_pool_gives_the_serial_rows():

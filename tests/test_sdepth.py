@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathdepth.graphs import cycle_ideal, line_ideal
-from pathdepth.ideals import MonomialIdeal, VarPermutation, divides, monomial
+from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
+                              divides, monomial)
 from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval,
                               StanleyCertificate, _CoverSearch, build_char_poset,
                               sdepth_at_least, stanley_depth,
@@ -293,3 +294,14 @@ def test_search_index_matches_pair_scan():
                     and all(m in poset.elements
                             for m in Interval(s, t).members()))
                 for s in low]
+
+
+def test_pairs_past_the_table_cap_are_refused():
+    n = TABLE_MAX_N + 1
+    whole, ideal = MonomialIdeal.whole_ring(n), line_ideal(n, n)
+    cert = StanleyCertificate([Interval(0, 0)], 0)
+    for call in (lambda: build_char_poset(whole, ideal),
+                 lambda: stanley_depth(whole, ideal, node_budget=1),
+                 lambda: validate_decomposition(cert, whole, ideal)):
+        with pytest.raises(ValueError, match=f"cap {TABLE_MAX_N}"):
+            call()
