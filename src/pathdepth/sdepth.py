@@ -11,17 +11,24 @@ top has size exactly k (an interval with a bigger top can always be cut
 into top-size-k intervals covering the same small elements, so this loses
 no generality).  Elements of size >= k left uncovered become singleton
 intervals in the final certificate.
+
+The search time of one decision varies widely with the variable
+labelling, so each decision is a series of node-limited attempts under
+seeded relabellings, with slices on the Luby schedule (Luby, Sinclair and
+Zuckerman 1993; Gomes, Selman and Kautz 1998).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .ideals import (MonomialIdeal, bits, check_table_n, divides, monomial,
-                     monomial_vars, subsets, zeta)
+from .ideals import (MonomialIdeal, VarPermutation, bits, check_table_n,
+                     divides, monomial, monomial_vars, subsets, zeta)
 
 
 class BudgetExceeded(Exception):
@@ -136,7 +143,7 @@ class SdepthResult:
     """Outcome of a Stanley depth computation.
 
     When the node budget runs out the result is a lower bound only and
-    ``exact`` is False.
+    ``exact`` is False.  ``nodes`` counts every attempt of every decision.
     """
 
     sdepth: int
@@ -157,6 +164,15 @@ def build_char_poset(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal) -> CharPose
     return CharPoset(j_ideal.n, elems)
 
 
+def luby(i: int) -> int:
+    """The i-th term (i >= 1) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    while True:
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
+
+
 class _CoverSearch:
     """Backtracking exact-cover search for the decision sdepth >= k.
 
@@ -164,16 +180,22 @@ class _CoverSearch:
     uncovered elements, so interval placement and the feasibility checks
     are a few big-int operations each.  Branching picks, among the
     uncovered elements of minimal size, the one with the fewest live
-    candidate tops (ties go to lex order).  The size restriction matters
-    for soundness: a minimal-size uncovered element must be the lower end
-    of whatever interval covers it, since a strictly smaller lower end
-    would itself still be uncovered.
+    candidate tops (ties go to the lowest rank).  The size restriction
+    matters for soundness: a minimal-size uncovered element must be the
+    lower end of whatever interval covers it, since a strictly smaller
+    lower end would itself still be uncovered.
+
+    The decision runs as a series of attempts (``attempt``).  Attempt 0
+    ranks elements by their own (size, lex) number; attempt a >= 1 ranks
+    them by their (size, lex) position after relabelling the variables by
+    ``random.Random(a).shuffle``, which makes it the search of attempt 0 on
+    the relabelled poset.  The live tops and the memo of failed states do
+    not depend on the labelling, so every attempt shares them.
     """
 
-    def __init__(self, index: SearchIndex, k: int, budget=None):
+    def __init__(self, index: SearchIndex, k: int):
         self.ix = index
         self.k = k
-        self.budget = budget
         self.nodes = 0
         self.levels = index.levels[:k + 1]
         self.n_low = sum(m.bit_count() for m in self.levels[:k])
@@ -202,11 +224,10 @@ class _CoverSearch:
         self.failed: set[int] = set()
         self.binom = [[comb(k - s, l - s) if l >= s else 0 for l in range(k)]
                       for s in range(k)]
-
-    def _bump(self):
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded
+        # the ranks of the current attempt (None: the element numbers) and
+        # its candidate lists in rank order of their tops
+        self.rank: list[int] | None = None
+        self.ranked: dict[int, list[tuple[int, int]]] = {}
 
     def _candidates(self, i: int) -> list[tuple[int, int]]:
         pairs = self.cands.get(i)
@@ -214,23 +235,60 @@ class _CoverSearch:
             up_i, down = self.ix.up[i], self.ix.down
             pairs = [(t, up_i & down[t]) for t in bits(self.cand_topbits[i])]
             self.cands[i] = pairs
-        return pairs
+        if self.rank is None:
+            return pairs
+        mine = self.ranked.get(i)
+        if mine is None:
+            rank = self.rank
+            mine = self.ranked[i] = sorted(pairs, key=lambda p: rank[p[0]])
+        return mine
 
-    def run(self) -> list[Interval] | None:
+    def _ranks(self, attempt: int) -> list[int] | None:
+        """Rank of each element of size <= k under labelling ``attempt``."""
+        if attempt == 0:
+            return None
+        images = list(range(1, self.ix.n + 1))
+        random.Random(attempt).shuffle(images)
+        perm = VarPermutation(tuple(images))
+        prefix = self.ix.order[:self.n_low + self.levels[self.k].bit_count()]
+        moved = sorted(range(len(prefix)), key=lambda i: (
+            prefix[i].bit_count(), monomial_vars(perm.apply(prefix[i]))))
+        rank = [0] * len(prefix)
+        for r, i in enumerate(moved):
+            rank[i] = r
+        return rank
+
+    def run(self, budget: int | None = None) -> list[Interval] | None:
+        """Attempts 0, 1, 2, ... until one settles the decision.
+
+        Attempt a may visit (F + 1)·luby(a + 1) nodes, where F is the number
+        of intervals every solution places, so an attempt that meets no dead
+        end finishes inside its slice.  A budget caps the nodes of all attempts together
+        (BudgetExceeded); without one the slices grow without bound, so the
+        search stays complete."""
         if not all(self.cand_topbits):
             return None
-        full = (1 << len(self.ix.order)) - 1
-        return self._search(full, 0, [])
+        unit = (self._forced_intervals((1 << len(self.ix.order)) - 1) or 0) + 1
+        for a in itertools.count():
+            stop = self.nodes + unit * luby(a + 1)
+            if budget is not None:
+                stop = min(stop, budget)
+            try:
+                return self.attempt(a, stop)
+            except BudgetExceeded:
+                if self.nodes == budget:
+                    raise
 
-    def _level_counts_feasible(self, uncovered: int) -> bool:
+    def _forced_intervals(self, uncovered: int) -> int | None:
         """Exact counting invariant on the remaining cover problem.
 
         Every future interval is a full cube with |top| = k, so an interval
         whose lower has size s covers exactly C(k-s, l-s) elements of each
         size l < k.  Summing over a partition forces the number of future
         intervals per lower size, level by level (the system is triangular).
-        A negative forced count, a count above that level's population, or a
-        total above the number of free size-k elements is a contradiction.
+        Returns their total, or None on a contradiction: a negative forced
+        count, a count above that level's population, or a total above the
+        number of free size-k elements.
         """
         k = self.k
         counts = [(level & uncovered).bit_count() for level in self.levels]
@@ -241,14 +299,14 @@ class _CoverSearch:
             for s in range(l):
                 need -= forced[s] * self.binom[s][l]
             if need < 0 or need > counts[l]:
-                return False
+                return None
             forced[l] = need
             total += need
-        return total <= counts[k]
+        return total if total <= counts[k] else None
 
     def _pick_branch(self, uncovered: int) -> int | None:
         """Among the uncovered low elements of minimal size, the one with the
-        fewest live tops (ties to the lowest number); None if every low
+        fewest live tops (ties to the lowest rank); None if every low
         element is covered.  Assumes no uncovered low element is dead."""
         for level in self.levels[:self.k]:
             live = level & uncovered
@@ -256,8 +314,11 @@ class _CoverSearch:
                 break
         else:
             return None
+        elems = bits(live)
+        if self.rank is not None:
+            elems = sorted(elems, key=self.rank.__getitem__)
         best, best_count = -1, -1
-        for i in bits(live):
+        for i in elems:
             count = (self.cand_topbits[i] & uncovered).bit_count()
             if best < 0 or count < best_count:
                 best, best_count = i, count
@@ -265,58 +326,93 @@ class _CoverSearch:
                     break
         return best
 
-    def _search(self, uncovered: int, touched: int,
-                acc: list[Interval]) -> list[Interval] | None:
-        """Search below the state ``uncovered``.  Only the elements in
+    def _visit(self, uncovered: int, touched: int) -> int | None:
+        """The branch element of the state ``uncovered``, None if it covers
+        every low element, or -1 if it is a dead end.  Only the elements in
         ``touched`` can have lost their last live top since the parent
         state: placing [s,t] takes t, the one size-k element of its cube,
         off the live tops of exactly the elements below t."""
-        self._bump()
         for i in bits(touched & uncovered):
             if not self.cand_topbits[i] & uncovered:
-                return None
+                return -1
         branch = self._pick_branch(uncovered)
         if branch is None:
-            return list(acc)
-        if self.memo_on and uncovered in self.failed:
             return None
-        if not self._level_counts_feasible(uncovered):
+        if self.memo_on and uncovered in self.failed:
+            return -1
+        if self._forced_intervals(uncovered) is None:
             if self.memo_on:
                 self.failed.add(uncovered)
-            return None
+            return -1
+        return branch
+
+    def attempt(self, a: int, stop: int | None = None) -> list[Interval] | None:
+        """Depth-first search under the ranks of attempt ``a``: the intervals
+        of a solution, or None if there is none.  Raises BudgetExceeded
+        instead of visiting a node once ``self.nodes``, counted over all
+        attempts, has reached ``stop``."""
+        self.rank, self.ranked = self._ranks(a), {}
         order, down = self.ix.order, self.ix.down
-        for top, cube in self._candidates(branch):
-            if cube & uncovered != cube:
-                continue
-            acc.append(Interval(order[branch], order[top]))
-            res = self._search(uncovered & ~cube, down[top], acc)
-            if res is not None:
-                return res
-            acc.pop()
-        if self.memo_on:
-            self.failed.add(uncovered)
-        return None
+        # per open state: its uncovered bitmap, branch and candidates left;
+        # placed[d] is the (branch, top) that leads from stack[d] to stack[d+1]
+        stack: list[tuple] = []
+        placed: list[tuple[int, int]] = []
+        uncovered, touched = (1 << len(order)) - 1, 0
+        while True:
+            if self.nodes == stop:
+                raise BudgetExceeded
+            self.nodes += 1
+            branch = self._visit(uncovered, touched)
+            if branch is None:
+                return [Interval(order[s], order[t]) for s, t in placed]
+            if branch >= 0:
+                stack.append((uncovered, branch,
+                              iter(self._candidates(branch))))
+            while stack:
+                uncovered, branch, left = stack[-1]
+                del placed[len(stack) - 1:]
+                for top, cube in left:
+                    if cube & uncovered == cube:
+                        placed.append((branch, top))
+                        uncovered, touched = uncovered & ~cube, down[top]
+                        break
+                else:
+                    if self.memo_on:
+                        self.failed.add(uncovered)
+                    stack.pop()
+                    continue
+                break
+            else:
+                return None
 
 
-def sdepth_at_least(poset: CharPoset, k: int, budget=None):
-    """A certificate with every interval top of size >= k, or None.
-
-    Returns (certificate | None, nodes used).  Raises BudgetExceeded if the
-    node budget runs out before the decision is settled.
-    """
-    if k < 0 or k > poset.n:
-        raise ValueError(f"k={k} outside 0..{poset.n}")
-    search = _CoverSearch(poset.search_index, k, budget=budget)
-    intervals = search.run()
-    if intervals is None:
-        return None, search.nodes
+def certificate_from(poset: CharPoset, intervals: list[Interval],
+                     k: int) -> StanleyCertificate:
+    """The certificate of a cover: its intervals, then every element of the
+    poset they leave uncovered as a singleton."""
     covered = set()
     for iv in intervals:
         covered.update(iv.members())
     singles = [Interval(s, s) for s in sorted(poset.elements - covered)]
     all_ivs = intervals + singles
     claimed = min((iv.upper.bit_count() for iv in all_ivs), default=k)
-    return StanleyCertificate(all_ivs, claimed), search.nodes
+    return StanleyCertificate(all_ivs, claimed)
+
+
+def sdepth_at_least(poset: CharPoset, k: int, budget=None):
+    """A certificate with every interval top of size >= k, or None.
+
+    Returns (certificate | None, nodes used by every attempt).  Raises
+    BudgetExceeded if the node budget runs out before the decision is
+    settled.
+    """
+    if k < 0 or k > poset.n:
+        raise ValueError(f"k={k} outside 0..{poset.n}")
+    search = _CoverSearch(poset.search_index, k)
+    intervals = search.run(budget)
+    if intervals is None:
+        return None, search.nodes
+    return certificate_from(poset, intervals, k), search.nodes
 
 
 def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,

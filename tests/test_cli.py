@@ -221,13 +221,25 @@ def test_depth_of_zero_module_rejected(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_m_pathdepth(*argv, timeout):
     src = str(Path(pathdepth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pathdepth", "verify", "--suite", "max",
-         "--n-min", "3", "--n-max", "4"],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "pathdepth", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python_m_pathdepth("verify", "--suite", "max", "--n-min", "3",
+                               "--n-max", "4", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "MATCH" in proc.stdout
+
+
+def test_deep_sdepth_search_needs_no_recursion():
+    # line:14:4 places thousands of intervals on one search path
+    proc = _python_m_pathdepth("sdepth", "--graph", "line", "--n", "14",
+                               "--m", "4", timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "9"

@@ -1,7 +1,9 @@
 """Stanley depth: characteristic posets, search, certificates, validation."""
 
 import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,8 @@ from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
                               divides, monomial)
 from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval,
                               StanleyCertificate, _CoverSearch, build_char_poset,
-                              sdepth_at_least, stanley_depth,
-                              validate_decomposition)
+                              certificate_from, luby, sdepth_at_least,
+                              stanley_depth, validate_decomposition)
 
 
 def test_char_poset_of_cycle_quotient():
@@ -99,7 +101,6 @@ def test_certificates_are_deterministic():
 
 def test_certificate_json_round_trip():
     res = stanley_depth(MonomialIdeal.whole_ring(5), cycle_ideal(5, 3))
-    import json
     cert = StanleyCertificate.from_dict(json.loads(res.certificate.to_json()), 5)
     assert validate_decomposition(cert, MonomialIdeal.whole_ring(5),
                                   cycle_ideal(5, 3))
@@ -232,11 +233,21 @@ RANDOM_PAIR_PINS = [
     (4, 41, '2a48be8ad13c2c8e'),
 ]
 
+# the same for one unbounded attempt 0 per decision, the search of the engine
+# before restarts: cyc:9:3 backtracks at k = 5 (7717 of its 7805 nodes)
 NAMED_PINS = {
     "cyc:9:3": (MonomialIdeal.whole_ring(9), cycle_ideal(9, 3), 5, 7805,
                 "416965d8933dd25bb25408f51455ba3f185999838ee753fe47626be17ab81c0b"),
     "max:9": (line_ideal(9, 1), MonomialIdeal.zero(9), 5, 167,
               "828e95d076e801b26e580e48bb14b47713063e539e002aeedd263d7a4fa9760c"),
+}
+
+# stanley_depth with its restarts, recorded when they were introduced;
+# max:9 settles every decision inside its first slice
+RESTARTED_PINS = {
+    "cyc:9:3": (MonomialIdeal.whole_ring(9), cycle_ideal(9, 3), 5, 193,
+                "ce2849744ba537bc"),
+    "max:9": NAMED_PINS["max:9"],
 }
 
 
@@ -254,6 +265,21 @@ def _assert_pinned_and_refuted(j, i, sdepth, nodes, digest):
         assert cert is None
 
 
+def _attempt_zero_depth(j, i):
+    """stanley_depth's walk over k, each decision one unbounded attempt 0."""
+    poset = build_char_poset(j, i)
+    upper = min(s.bit_count() for s in poset.maximal_elements())
+    best, cert, nodes = min(s.bit_count() for s in poset.elements), None, 0
+    for k in range(best + 1, upper + 1):
+        search = _CoverSearch(poset.search_index, k)
+        intervals = search.attempt(0) if all(search.cand_topbits) else None
+        nodes += search.nodes
+        if intervals is None:
+            break
+        best, cert = k, certificate_from(poset, intervals, k)
+    return best, nodes, cert
+
+
 def test_search_tree_unchanged_on_random_pairs():
     pairs = _random_pairs(20, 4)
     for (j, i), pin in zip(pairs, RANDOM_PAIR_PINS, strict=True):
@@ -262,7 +288,78 @@ def test_search_tree_unchanged_on_random_pairs():
 
 @pytest.mark.parametrize("name", sorted(NAMED_PINS))
 def test_search_tree_unchanged_on_named_instances(name):
-    _assert_pinned_and_refuted(*NAMED_PINS[name])
+    j, i, sdepth, nodes, digest = NAMED_PINS[name]
+    best, used, cert = _attempt_zero_depth(j, i)
+    assert (best, used, _digest(cert)) == (sdepth, nodes, digest)
+    assert sdepth_at_least(build_char_poset(j, i), sdepth + 1)[0] is None
+
+
+@pytest.mark.parametrize("name", sorted(RESTARTED_PINS))
+def test_restarted_search_on_named_instances(name):
+    _assert_pinned_and_refuted(*RESTARTED_PINS[name])
+
+
+def test_luby_sequence():
+    assert [luby(i) for i in range(1, 16)] == [
+        1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+def test_attempt_is_the_search_on_the_relabelled_poset():
+    for case, (j, i) in enumerate(_random_pairs(20, 7)):
+        n, a = j.n, 1 + case % 4
+        images = list(range(1, n + 1))
+        random.Random(a).shuffle(images)
+        perm = VarPermutation(tuple(images))
+        back = VarPermutation(tuple(images.index(v) + 1 for v in range(1, n + 1)))
+        poset = build_char_poset(j, i)
+        moved = build_char_poset(j.relabel(perm), i.relabel(perm))
+        for k in range(1, n + 1):
+            ranked = _CoverSearch(poset.search_index, k)
+            plain = _CoverSearch(moved.search_index, k)
+            got, want = ranked.attempt(a), plain.attempt(0)
+            assert ranked.nodes == plain.nodes, (case, k)
+            if want is None:
+                assert got is None
+            else:
+                assert got == [Interval(back.apply(iv.lower), back.apply(iv.upper))
+                               for iv in want], (case, k)
+
+
+@pytest.mark.parametrize("j, i", [
+    (MonomialIdeal.whole_ring(9), cycle_ideal(9, 3)),
+    (MonomialIdeal.whole_ring(10), cycle_ideal(10, 2)),
+    (line_ideal(8, 1), MonomialIdeal.zero(8)),
+])
+def test_budget_caps_every_attempt(j, i):
+    full = stanley_depth(j, i)
+    for budget in (1, 7, 30, 60, 100, 150, 250, full.nodes - 1, full.nodes):
+        res = stanley_depth(j, i, node_budget=budget)
+        assert res.nodes <= budget
+        assert res.exact == (full.nodes <= budget), budget
+        if res.exact:
+            assert (res.sdepth, res.nodes) == (full.sdepth, full.nodes)
+        assert validate_decomposition(res.certificate, j, i)
+
+
+def test_cycle_13_3_is_exact_at_seven():
+    # stated only as bounds by the paper (n = 1 mod 4); the default
+    # labelling alone leaves "sdepth >= 7" open after millions of nodes
+    j, i = MonomialIdeal.whole_ring(13), cycle_ideal(13, 3)
+    res = stanley_depth(j, i)
+    assert res.exact and res.sdepth == 7
+    assert validate_decomposition(res.certificate, j, i)
+
+
+PROP1_N13 = Path(__file__).with_name("data") / "prop1_n13.json"
+
+
+def test_prop1_n13_certificate_beats_the_stated_value():
+    # the closed form of prop1 states sdepth(J_13,3 / I_13,3) = 7; this
+    # interval partition shows it is at least 8
+    j, i = cycle_ideal(13, 3), line_ideal(13, 3)
+    cert = StanleyCertificate.from_dict(json.loads(PROP1_N13.read_text()), 13)
+    assert validate_decomposition(cert, j, i)
+    assert cert.claimed_sdepth >= 8
 
 
 def test_search_index_matches_pair_scan():
