@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ideals import TABLE_MAX_N, MonomialIdeal, monomial_vars, subsets
+from .ideals import TABLE_MAX_N, MonomialIdeal, bits, monomial_vars, subsets
 from .homology import chain_homology_ranks, reduced_homology_ranks
 from .linalg import INT64_SAFE
 
@@ -83,25 +83,83 @@ class BettiTable:
         return [(i, monomial_vars(s), b) for i, s, b in self.entries]
 
 
+def _pieces(gens: list[int]) -> list[int]:
+    """Variable masks of the connected pieces of gens, where two generators
+    are connected when they share a variable."""
+    pieces: list[int] = []
+    for g in gens:
+        merged = g
+        for p in pieces:
+            if p & g:
+                merged |= p
+        pieces = [p for p in pieces if not p & g] + [merged]
+    return pieces
+
+
+def _shape(mask: int, gens) -> tuple[int, ...]:
+    """The generators inside mask relabelled onto 0..k-1 in bit order, the
+    least over the k cyclic shifts of that order.
+
+    Equal shapes give isomorphic restricted complexes; a missed isomorphism
+    only costs a cache hit.
+    """
+    k = mask.bit_count()
+    full = (1 << k) - 1
+    pos = {b: j for j, b in enumerate(bits(mask))}
+    packed = [sum(1 << pos[b] for b in bits(g)) for g in gens if g & ~mask == 0]
+    return min(tuple(sorted(((r >> s) | (r << (k - s))) & full for r in packed))
+               for s in range(k))
+
+
+def _convolve(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for i, a in left.items():
+        for j, b in right.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return out
+
+
 @lru_cache(maxsize=4096)
 def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable:
-    """All multigraded Betti numbers of S/I via Hochster's formula."""
+    """All multigraded Betti numbers of S/I via Hochster's formula.
+
+    The generators inside σ split into connected pieces c (two are
+    connected when they share a variable), every minimal non-face of Δ_σ
+    lies in one piece, so Δ_σ is the join of the Δ_c.  Over a field the
+    Künneth formula for joins makes β_{·,σ} the convolution of the β_{·,c},
+    with index i = |c| - 1 - d adding up.  Each piece's row is kept by mask
+    and by shape, and only a new shape has its complex reduced and ranked.
+    """
     if ideal.is_whole_ring:
         raise ValueError("S/S is the zero module; no Betti table")
     n = ideal.n
     lcm = ideal.lcm_table()
+    by_mask: dict[int, dict[int, int]] = {}
+    by_shape: dict[tuple[int, ...], dict[int, int]] = {}
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for sigma in range(1, 1 << n):
         if lcm[sigma] != sigma:
             # sigma is outside the ideal (a full simplex), or some vertex of
             # sigma is a cone point: no reduced homology
             continue
-        faces = [sub for sub in subsets(sigma) if not lcm[sub]]
-        ranks = reduced_homology_ranks(faces, field, check_closed=False)
-        size = sigma.bit_count()
-        for d, r in ranks.items():
-            if r:
-                entries[(size - 1 - d, sigma)] = r
+        row = {0: 1}
+        for mask in _pieces([g for g in ideal.gens if g & ~sigma == 0]):
+            piece = by_mask.get(mask)
+            if piece is None:
+                key = _shape(mask, ideal.gens)
+                piece = by_shape.get(key)
+                if piece is None:
+                    faces = [sub for sub in subsets(mask) if not lcm[sub]]
+                    ranks = reduced_homology_ranks(faces, field, check_closed=False)
+                    size = mask.bit_count()
+                    piece = {size - 1 - d: r for d, r in ranks.items() if r}
+                    by_shape[key] = piece
+                by_mask[mask] = piece
+            row = _convolve(row, piece)
+            if not row:
+                break
+        for i, b in row.items():
+            entries[(i, sigma)] = b
     return BettiTable.from_dict(n, entries)
 
 

@@ -22,15 +22,23 @@ class UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = low - 1
+    if value < low:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
+            f"must be a {kind} integer, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _field(name: str) -> Field:
@@ -232,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=9)
     p.add_argument("--field", choices=["q", "f2"], default="q")
     p.add_argument("--budget-nodes", type=_positive_int)
-    p.add_argument("--depth-cap", type=int, default=DEPTH_N_CAP)
-    p.add_argument("--sdepth-cap", type=int, default=SDEPTH_N_CAP)
+    p.add_argument("--depth-cap", type=_nonnegative_int, default=DEPTH_N_CAP)
+    p.add_argument("--sdepth-cap", type=_nonnegative_int, default=SDEPTH_N_CAP)
     p.add_argument("--format", choices=["json", "csv", "table"],
                    default="table")
     p.add_argument("--out")

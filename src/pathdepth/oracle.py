@@ -224,7 +224,7 @@ class VerificationReport:
 
 
 # default desk-scale caps for the harness
-DEPTH_N_CAP = 12
+DEPTH_N_CAP = 16
 SDEPTH_N_CAP = 14
 
 

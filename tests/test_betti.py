@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from pathdepth.betti import (GF2, RATIONALS, depth_quotient, hochster_betti,
-                             projective_dimension, taylor_betti)
+from pathdepth.betti import (GF2, RATIONALS, Field, depth_quotient,
+                             hochster_betti, projective_dimension, taylor_betti)
 from pathdepth.graphs import cycle_ideal, line_ideal
+from pathdepth.homology import reduced_homology_ranks
 from pathdepth.ideals import MonomialIdeal, monomial
 from pathdepth.linalg import rank_bareiss, rank_mod_p
 
@@ -84,13 +85,19 @@ def test_auslander_buchsbaum_on_families():
             assert depth_quotient(ideal) + projective_dimension(ideal) == n
 
 
-def test_field_can_change_betti_numbers():
-    # Stanley-Reisner ideal of the 6-vertex projective plane
+def _rp2_nonfaces(n: int) -> tuple[int, ...]:
+    """The 10 minimal non-faces of the 6-vertex projective plane on x1..x6."""
     tris = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
             (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
     nonfaces = [s for s in range(1 << 6)
                 if not any(s & ~monomial(t, 6) == 0 for t in tris)]
-    ideal = MonomialIdeal(6, tuple(nonfaces))
+    return MonomialIdeal(n, tuple(nonfaces)).gens
+
+
+def test_field_can_change_betti_numbers():
+    # Stanley-Reisner ideal of the 6-vertex projective plane
+    ideal = MonomialIdeal(6, _rp2_nonfaces(6))
+    assert len(ideal.gens) == 10
     assert depth_quotient(ideal, RATIONALS) == 3
     assert depth_quotient(ideal, GF2) == 2
 
@@ -140,3 +147,72 @@ def test_hochster_tables_pinned_at_n10(name, field):
     entries = hochster_betti(ideal, field).entries
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()
     assert digest == BETTI_PINS_N10[name]
+
+
+# sha256 of repr(hochster_betti(ideal, field).entries), recorded on the
+# per-σ route that reduced every restricted complex whole; the cyc:12:3
+# tables need the cyclic-shift shape key to merge wrap-around arcs
+BETTI_PINS_N12 = {
+    "line:12:2/Q": "ae8346ba4b47ca5964ce7425eb243363f7163d25fb08b4b85179a652d68c0be6",
+    "line:12:12/Q": "312ab8ed1d1f2f4ebbbfa6aa7fa308e3041fb71888677589faf775231e6247bb",
+    "line:12:7/GF(2)": "6c8e713e653bac2da65130ff711af04ac1b12ec148e5767c58cdacf258620592",
+    "cyc:12:3/GF(2)": "9671fd9494e9e6fd518ff3a3bc463517be386e883a0e6e007e211f04990d1f2a",
+    "cyc:12:3/Q": "9671fd9494e9e6fd518ff3a3bc463517be386e883a0e6e007e211f04990d1f2a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BETTI_PINS_N12))
+def test_hochster_tables_pinned_at_n12(name):
+    spec, field_name = name.split("/")
+    graph, n, m = spec.split(":")
+    ideal = (line_ideal if graph == "line" else cycle_ideal)(int(n), int(m))
+    field = RATIONALS if field_name == "Q" else GF2
+    entries = hochster_betti(ideal, field).entries
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert digest == BETTI_PINS_N12[name]
+
+
+def _per_sigma_betti(ideal, fields):
+    """Per field, β_{i,σ} from the reduced homology of every whole Δ_σ."""
+    faces = [s for s in range(1 << ideal.n)
+             if not any(g & ~s == 0 for g in ideal.gens)]
+    tables = {field: {(0, 0): 1} for field in fields}
+    for sigma in range(1, 1 << ideal.n):
+        restricted = [f for f in faces if f & ~sigma == 0]
+        for field in fields:
+            for d, r in reduced_homology_ranks(restricted, field).items():
+                if r:
+                    tables[field][(sigma.bit_count() - 1 - d, sigma)] = r
+    return tables
+
+
+def test_factored_hochster_matches_per_sigma_homology():
+    rng = random.Random(20261018)
+    ideals = []
+    for _ in range(24):
+        # edges and triangles: restricted complexes with homology to get wrong
+        n = rng.randint(4, 9)
+        gens = [monomial(rng.sample(range(1, n + 1), rng.randint(2, 3)), n)
+                for _ in range(rng.randint(2, 9))]
+        ideals.append(MonomialIdeal(n, tuple(gens)))
+    for _ in range(3):
+        # RP^2 on x1..x6 beside generators on x7..x9: every σ that meets
+        # both carries field-dependent homology in a disconnected piece
+        extra = [rng.randrange(1, 8) << 6 for _ in range(rng.randint(1, 3))]
+        ideals.append(MonomialIdeal(9, _rp2_nonfaces(9) + tuple(extra)))
+    fields = (RATIONALS, GF2, Field(3))
+    for ideal in ideals:
+        for field, table in _per_sigma_betti(ideal, fields).items():
+            assert hochster_betti(ideal, field).as_dict() == table, (ideal, field)
+    rp2 = ideals[-1]
+    assert hochster_betti(rp2, RATIONALS) != hochster_betti(rp2, GF2)
+
+
+def test_taylor_matches_hochster_on_rp2_beside_an_edge():
+    ideal = MonomialIdeal(8, _rp2_nonfaces(8) + (monomial([7, 8], 8),))
+    assert len(ideal.gens) == 11
+    tables = {}
+    for field in (RATIONALS, GF2):
+        tables[field] = hochster_betti(ideal, field)
+        assert taylor_betti(ideal, field) == tables[field]
+    assert tables[RATIONALS] != tables[GF2]

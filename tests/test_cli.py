@@ -162,6 +162,18 @@ def test_budget_must_be_positive(argv, budget, capsys):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--depth-cap", "--sdepth-cap"])
+@pytest.mark.parametrize("cap", ["-1", "-5", "x"])
+def test_verify_caps_must_be_nonnegative(option, cap, capsys):
+    argv = ["verify", "--suite", "j3", "--n-min", "4", "--n-max", "4"]
+    assert run_command([*argv, option, cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a non-negative integer" in captured.err
+    assert run_command([*argv, option, "0"]) == 0
+    assert "n > cap 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("n_min, n_max", [(9, 3), (5, 4)])
 def test_verify_rejects_empty_n_range(n_min, n_max, capsys):
     assert run_command(["verify", "--n-min", str(n_min),

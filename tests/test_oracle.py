@@ -145,6 +145,12 @@ def test_default_sdepth_cap_settles_n10(family, sdepth):
     assert [(r.computed, r.status) for r in rows] == [(sdepth, WITHIN_BOUNDS)]
 
 
+def test_default_depth_cap_computes_n16():
+    report = verify_suite("j3", 16, 16, sdepth_n_cap=0)
+    depth = [r for r in report.rows if r.quantity == "depth"]
+    assert [(r.computed, r.status) for r in depth] == [(8, MATCH)]
+
+
 def test_depth_rows_past_engine_cap_are_skipped():
     n = HOCHSTER_MAX_N + 1
     report = verify_suite("j2", n, n, depth_n_cap=n + 3, sdepth_n_cap=0)
