@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ideals import TABLE_MAX_N, MonomialIdeal, bits, monomial_vars, subsets
+from .ideals import MonomialIdeal, bits, monomial_vars, subsets
 from .homology import chain_homology_ranks, reduced_homology_ranks
 from .linalg import INT64_SAFE
 
-HOCHSTER_MAX_N = TABLE_MAX_N
 TAYLOR_MAX_GENS = 12
 
 

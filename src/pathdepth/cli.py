@@ -11,11 +11,14 @@ import argparse
 import json
 import sys
 
-from .betti import Field, RATIONALS, GF2, depth_quotient, hochster_betti
+from .betti import RATIONALS, GF2, depth_quotient, hochster_betti
 from .graphs import cycle_ideal, line_ideal
-from .ideals import MonomialIdeal
+from .ideals import MAX_AMBIENT, MonomialIdeal
 from .sdepth import StanleyCertificate, stanley_depth, validate_decomposition
 from .oracle import verify_suite, DEPTH_N_CAP, FAMILIES, SDEPTH_N_CAP
+
+FIELDS = {"q": RATIONALS, "f2": GF2}
+GRAPHS = {"line": line_ideal, "cycle": cycle_ideal}
 
 
 class UsageError(Exception):
@@ -41,14 +44,6 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
-def _field(name: str) -> Field:
-    if name == "q":
-        return RATIONALS
-    if name == "f2":
-        return GF2
-    raise UsageError(f"unknown field {name!r}")
-
-
 def _load_module(args) -> tuple[MonomialIdeal, MonomialIdeal]:
     """Resolve the (J, I) pair from --graph/--n/--m or --ideal-file."""
     module = getattr(args, "module", "quotient")
@@ -72,13 +67,9 @@ def _load_module(args) -> tuple[MonomialIdeal, MonomialIdeal]:
 
 def _named_ideal(graph: str, n: int, m: int) -> MonomialIdeal:
     try:
-        if graph == "line":
-            return line_ideal(n, m)
-        if graph == "cycle":
-            return cycle_ideal(n, m)
+        return GRAPHS[graph](n, m)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown graph kind {graph!r}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -102,7 +93,7 @@ def cmd_depth(args) -> int:
     _, ideal = _load_module(args)
     if ideal.is_whole_ring:
         raise UsageError("depth of the zero module S/S is undefined")
-    _emit(str(depth_quotient(ideal, _field(args.field))), args.out)
+    _emit(str(depth_quotient(ideal, FIELDS[args.field])), args.out)
     return 0
 
 
@@ -110,7 +101,7 @@ def cmd_betti(args) -> int:
     _, ideal = _load_module(args)
     if ideal.is_whole_ring:
         raise UsageError("Betti table of the zero module S/S is undefined")
-    table = hochster_betti(ideal, _field(args.field))
+    table = hochster_betti(ideal, FIELDS[args.field])
     if args.format == "json":
         rows = [{"i": i, "sigma": list(s), "beta": b} for i, s, b in table.rows()]
         _emit(json.dumps(rows), args.out)
@@ -126,8 +117,7 @@ def _run_sdepth(args):
     j_ideal, i_ideal = _load_module(args)
     if j_ideal == i_ideal:
         raise UsageError("J = I gives the zero module")
-    return stanley_depth(j_ideal, i_ideal, node_budget=args.budget_nodes), \
-        j_ideal, i_ideal
+    return stanley_depth(j_ideal, i_ideal, node_budget=args.budget_nodes)
 
 
 def _certificate_json(res) -> str:
@@ -138,20 +128,18 @@ def _certificate_json(res) -> str:
 
 
 def cmd_sdepth(args) -> int:
-    res, j_ideal, i_ideal = _run_sdepth(args)
+    res = _run_sdepth(args)
     if args.certificate:
         with open(args.certificate, "w") as fh:
             fh.write(_certificate_json(res) + "\n")
-    if res.exact:
-        _emit(str(res.sdepth), args.out)
-        return 0
-    _emit(f"unknown >= {res.sdepth}", args.out)
+    _emit(str(res.sdepth) if res.exact else f"unknown >= {res.sdepth}",
+          args.out)
     return 0
 
 
 def cmd_decomp(args) -> int:
-    j_ideal, i_ideal = _load_module(args)
     if args.check:
+        j_ideal, i_ideal = _load_module(args)
         with open(args.check) as fh:
             cert = StanleyCertificate.from_dict(json.load(fh), j_ideal.n)
         result = validate_decomposition(cert, j_ideal, i_ideal)
@@ -160,9 +148,7 @@ def cmd_decomp(args) -> int:
             return 0
         _emit(f"invalid: {result.reason}", args.out)
         return 1
-    if j_ideal == i_ideal:
-        raise UsageError("J = I gives the zero module")
-    res = stanley_depth(j_ideal, i_ideal, node_budget=args.budget_nodes)
+    res = _run_sdepth(args)
     _emit(_certificate_json(res), args.out)
     return 0
 
@@ -170,8 +156,11 @@ def cmd_decomp(args) -> int:
 def cmd_verify(args) -> int:
     if args.n_min > args.n_max:
         raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if args.n_max > MAX_AMBIENT:
+        # past it no ideal exists, so every row would be SKIPPED
+        raise UsageError(f"--n-max {args.n_max} exceeds {MAX_AMBIENT}")
     report = verify_suite(args.suite, args.n_min, args.n_max,
-                          field_choice=_field(args.field),
+                          field_choice=FIELDS[args.field],
                           node_budget=args.budget_nodes,
                           depth_n_cap=args.depth_cap,
                           sdepth_n_cap=args.sdepth_cap)
@@ -186,7 +175,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_module_opts(p, subquotient: bool = True):
-    p.add_argument("--graph", choices=["line", "cycle"])
+    p.add_argument("--graph", choices=GRAPHS)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--ideal-file", help="JSON ideal {'n':..,'gens':[[..],..]}")
@@ -204,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="print a path ideal")
-    p.add_argument("--graph", choices=["line", "cycle"], required=True)
+    p.add_argument("--graph", choices=GRAPHS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=["json", "text"], default="text")
@@ -213,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("depth", help="depth of S/I")
     _add_module_opts(p, subquotient=False)
-    p.add_argument("--field", choices=["q", "f2"], default="q")
+    p.add_argument("--field", choices=FIELDS, default="q")
     p.set_defaults(func=cmd_depth)
 
     p = sub.add_parser("betti", help="multigraded Betti numbers of S/I")
     _add_module_opts(p, subquotient=False)
-    p.add_argument("--field", choices=["q", "f2"], default="q")
+    p.add_argument("--field", choices=FIELDS, default="q")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_betti)
 
@@ -238,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", choices=["all", *FAMILIES])
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=9)
-    p.add_argument("--field", choices=["q", "f2"], default="q")
+    p.add_argument("--field", choices=FIELDS, default="q")
     p.add_argument("--budget-nodes", type=_positive_int)
     p.add_argument("--depth-cap", type=_nonnegative_int, default=DEPTH_N_CAP)
     p.add_argument("--sdepth-cap", type=_nonnegative_int, default=SDEPTH_N_CAP)

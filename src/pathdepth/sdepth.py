@@ -218,39 +218,19 @@ class _CoverSearch:
                 elif j < self.n_low:
                     live &= self.cand_topbits[j] | ~up[j]
             self.cand_topbits[i] = live
-        # (top, cube) pairs of the elements branched on, built on first use
-        self.cands: dict[int, list[tuple[int, int]]] = {}
-        self.memo_on = len(index.order) <= 4096
         self.failed: set[int] = set()
         self.binom = [[comb(k - s, l - s) if l >= s else 0 for l in range(k)]
                       for s in range(k)]
-        # the ranks of the current attempt (None: the element numbers) and
-        # its candidate lists in rank order of their tops
-        self.rank: list[int] | None = None
-        self.ranked: dict[int, list[tuple[int, int]]] = {}
+        self.rank: list[int] = []     # the ranks of the current attempt
 
-    def _candidates(self, i: int) -> list[tuple[int, int]]:
-        pairs = self.cands.get(i)
-        if pairs is None:
-            up_i, down = self.ix.up[i], self.ix.down
-            pairs = [(t, up_i & down[t]) for t in bits(self.cand_topbits[i])]
-            self.cands[i] = pairs
-        if self.rank is None:
-            return pairs
-        mine = self.ranked.get(i)
-        if mine is None:
-            rank = self.rank
-            mine = self.ranked[i] = sorted(pairs, key=lambda p: rank[p[0]])
-        return mine
-
-    def _ranks(self, attempt: int) -> list[int] | None:
+    def _ranks(self, attempt: int) -> list[int]:
         """Rank of each element of size <= k under labelling ``attempt``."""
+        prefix = self.ix.order[:self.n_low + self.levels[self.k].bit_count()]
         if attempt == 0:
-            return None
+            return list(range(len(prefix)))
         images = list(range(1, self.ix.n + 1))
         random.Random(attempt).shuffle(images)
         perm = VarPermutation(tuple(images))
-        prefix = self.ix.order[:self.n_low + self.levels[self.k].bit_count()]
         moved = sorted(range(len(prefix)), key=lambda i: (
             prefix[i].bit_count(), monomial_vars(perm.apply(prefix[i]))))
         rank = [0] * len(prefix)
@@ -314,11 +294,8 @@ class _CoverSearch:
                 break
         else:
             return None
-        elems = bits(live)
-        if self.rank is not None:
-            elems = sorted(elems, key=self.rank.__getitem__)
         best, best_count = -1, -1
-        for i in elems:
+        for i in sorted(bits(live), key=self.rank.__getitem__):
             count = (self.cand_topbits[i] & uncovered).bit_count()
             if best < 0 or count < best_count:
                 best, best_count = i, count
@@ -338,11 +315,10 @@ class _CoverSearch:
         branch = self._pick_branch(uncovered)
         if branch is None:
             return None
-        if self.memo_on and uncovered in self.failed:
+        if uncovered in self.failed:
             return -1
         if self._forced_intervals(uncovered) is None:
-            if self.memo_on:
-                self.failed.add(uncovered)
+            self.failed.add(uncovered)
             return -1
         return branch
 
@@ -351,10 +327,11 @@ class _CoverSearch:
         of a solution, or None if there is none.  Raises BudgetExceeded
         instead of visiting a node once ``self.nodes``, counted over all
         attempts, has reached ``stop``."""
-        self.rank, self.ranked = self._ranks(a), {}
-        order, down = self.ix.order, self.ix.down
-        # per open state: its uncovered bitmap, branch and candidates left;
-        # placed[d] is the (branch, top) that leads from stack[d] to stack[d+1]
+        self.rank = rank = self._ranks(a)
+        order, up, down = self.ix.order, self.ix.up, self.ix.down
+        # per open state: its uncovered bitmap, branch and candidate tops left
+        # in rank order; placed[d] is the (branch, top) that leads from
+        # stack[d] to stack[d+1]
         stack: list[tuple] = []
         placed: list[tuple[int, int]] = []
         uncovered, touched = (1 << len(order)) - 1, 0
@@ -366,19 +343,20 @@ class _CoverSearch:
             if branch is None:
                 return [Interval(order[s], order[t]) for s, t in placed]
             if branch >= 0:
-                stack.append((uncovered, branch,
-                              iter(self._candidates(branch))))
+                tops = sorted(bits(self.cand_topbits[branch]),
+                              key=rank.__getitem__)
+                stack.append((uncovered, branch, iter(tops)))
             while stack:
                 uncovered, branch, left = stack[-1]
                 del placed[len(stack) - 1:]
-                for top, cube in left:
+                for top in left:
+                    cube = up[branch] & down[top]
                     if cube & uncovered == cube:
                         placed.append((branch, top))
                         uncovered, touched = uncovered & ~cube, down[top]
                         break
                 else:
-                    if self.memo_on:
-                        self.failed.add(uncovered)
+                    self.failed.add(uncovered)
                     stack.pop()
                     continue
                 break

@@ -184,6 +184,21 @@ def test_verify_rejects_empty_n_range(n_min, n_max, capsys):
         f"error: --n-min {n_min} exceeds --n-max {n_max}"
 
 
+def test_verify_refuses_n_max_past_every_ideal(capsys):
+    # no ideal exists past MAX_AMBIENT = 24 variables, so a larger --n-max
+    # would only print SKIPPED rows, n - 1 per n for the line family
+    start = time.perf_counter()
+    assert run_command(["verify", "--n-min", "17", "--n-max", "25"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: --n-max 25 exceeds 24"
+    assert run_command(["verify", "--suite", "j2", "--n-min", "24",
+                        "--n-max", "24", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 2 and all(",SKIPPED," in r for r in rows)
+
+
 @pytest.mark.parametrize("text", [None, "[1]", '{"n": 3}', '{"n": 3, "gens": 5}'])
 def test_bad_ideal_file_exits_two(text, tmp_path, capsys):
     path = tmp_path / "ideal.json"

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from pathdepth.betti import HOCHSTER_MAX_N
 from pathdepth.cli import run_command
 from pathdepth.ideals import TABLE_MAX_N
 from pathdepth.oracle import (FAMILIES, MATCH, SKIPPED, VIOLATION,
@@ -152,11 +151,11 @@ def test_default_depth_cap_computes_n16():
 
 
 def test_depth_rows_past_engine_cap_are_skipped():
-    n = HOCHSTER_MAX_N + 1
+    n = TABLE_MAX_N + 1
     report = verify_suite("j2", n, n, depth_n_cap=n + 3, sdepth_n_cap=0)
     depth = [r for r in report.rows if r.quantity == "depth"]
     assert [r.status for r in depth] == [SKIPPED]
-    assert f"cap {HOCHSTER_MAX_N}" in depth[0].note
+    assert f"cap {TABLE_MAX_N}" in depth[0].note
 
 
 def test_sdepth_rows_past_engine_cap_are_skipped():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -391,6 +392,21 @@ def test_search_index_matches_pair_scan():
                     and all(m in poset.elements
                             for m in Interval(s, t).members()))
                 for s in low]
+
+
+def test_decision_keeps_no_cube_per_candidate():
+    # max:12 has 4095 elements, so each cube is a 4095-bit int: keeping one
+    # per candidate tried would peak near 8 MB here
+    poset = build_char_poset(line_ideal(12, 1), MonomialIdeal.zero(12))
+    poset.search_index  # built outside the measurement
+    tracemalloc.start()
+    try:
+        cert, _ = sdepth_at_least(poset, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert is not None
+    assert peak < 4_000_000
 
 
 def test_pairs_past_the_table_cap_are_refused():
