@@ -27,12 +27,34 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .ideals import (MonomialIdeal, VarPermutation, bits, check_table_n,
-                     divides, monomial, monomial_vars, subsets, zeta)
+from .ideals import (MonomialIdeal, bits, check_table_n, divides, monomial,
+                     monomial_vars, subsets, zeta)
 
 
 class BudgetExceeded(Exception):
     """Raised internally when the node budget runs out."""
+
+
+def size_lex_key(images):
+    """The (size, lex) order of masks under a variable labelling, as one int.
+
+    ``images[i]`` is the new label (1..n) of variable i + 1.  Ordering masks
+    of at most 16 bits by the returned key orders them as
+    ``(s.bit_count(), monomial_vars(VarPermutation(images).apply(s)))``
+    does.  Bit i adds 2^n - 2^(n - images[i]): the 2^n terms count the
+    size, and of two masks of one size the one whose image holds the
+    smaller label at their first difference subtracts the larger power of
+    two.  The key is a sum over bits, so it is read from one 256-entry table
+    per byte.
+    """
+    n = len(images)
+    weight = [(1 << n) - (1 << (n - v)) for v in images] + [0] * 16
+    lo, hi = [0] * 256, [0] * 256
+    for b in range(1, 256):
+        low = (b & -b).bit_length() - 1
+        lo[b] = lo[b & (b - 1)] + weight[low]
+        hi[b] = hi[b & (b - 1)] + weight[8 + low]
+    return lambda s: lo[s & 255] + hi[s >> 8]
 
 
 class SearchIndex:
@@ -41,29 +63,34 @@ class SearchIndex:
     Elements are numbered in (size, lex) order, so each size is a run of
     consecutive numbers.  ``up[i]`` and ``down[i]`` are bitmaps over those
     numbers of the elements above and below element i (itself included),
-    ``levels[l]`` is the bitmap of the elements of size l and
-    ``with_var[v]`` that of the elements containing x_{v+1}.
+    ``levels[l]`` is the bitmap of the elements of size l.
+
+    The poset must be convex, as J \\ I always is (an up-set meets a
+    down-set): then an interval lies in the poset iff its ends do.  A mask
+    outside the poset with elements both above and below it would break
+    that, so such a set, or one holding a mask outside 0..2^n - 1, is
+    refused with ValueError.
     """
 
     def __init__(self, poset: "CharPoset"):
         self.n = n = poset.n
-        self.order = sorted(poset.elements,
-                            key=lambda s: (s.bit_count(), monomial_vars(s)))
+        check_table_n(n)
+        if min(poset.elements, default=0) < 0 or max(poset.elements, default=0) >> n:
+            raise ValueError(f"poset element outside the masks of {n} variables")
+        self.order = sorted(poset.elements, key=size_lex_key(range(1, n + 1)))
         self.index = {s: i for i, s in enumerate(self.order)}
         self.levels = [0] * (n + 1)
+        own = [0] * (1 << n)
         for i, s in enumerate(self.order):
             self.levels[s.bit_count()] |= 1 << i
-        # per mask of all 2^n, the bitmap of the elements above (below) it;
-        # masks outside the poset pass bits through, so J \ I need not be
-        # convex
-        own = [0] * (1 << n)
-        for s, i in self.index.items():
             own[s] = 1 << i
         above = zeta(own[:], n, upward=True)
         below = zeta(own, n, upward=False)
+        if sum(1 for a, b in zip(above, below) if a and b) != len(self.order):
+            raise ValueError("poset is not convex: a mask outside it lies "
+                             "between two of its elements")
         self.up = [above[s] for s in self.order]
         self.down = [below[s] for s in self.order]
-        self.with_var = [above[1 << v] for v in range(n)]
 
 
 @dataclass(frozen=True)
@@ -200,43 +227,25 @@ class _CoverSearch:
         self.levels = index.levels[:k + 1]
         self.n_low = sum(m.bit_count() for m in self.levels[:k])
         # per low element s, the bitmap of the size-k tops t with [s,t] in the
-        # poset: that holds iff s is in it and, for each variable v of t
-        # outside s, so is [s+v,t].  Larger elements come first, so the tops
-        # of s+v are known when s needs them; an s+v of size k is its own
-        # only top, and an s+v outside the poset rules out every t through v.
-        self.cand_topbits = [0] * self.n_low
-        up, number, with_var = index.up, index.index, index.with_var
+        # poset: as the poset is convex, every size-k element above s
         tops = self.levels[k]
-        every_var = (1 << index.n) - 1
-        for i in reversed(range(self.n_low)):
-            s = index.order[i]
-            live = up[i] & tops
-            for v in bits(every_var & ~s):
-                j = number.get(s | 1 << v)
-                if j is None:
-                    live &= ~with_var[v]
-                elif j < self.n_low:
-                    live &= self.cand_topbits[j] | ~up[j]
-            self.cand_topbits[i] = live
+        self.cand_topbits = [u & tops for u in index.up[:self.n_low]]
         self.failed: set[int] = set()
         self.binom = [[comb(k - s, l - s) if l >= s else 0 for l in range(k)]
                       for s in range(k)]
-        self.rank: list[int] = []     # the ranks of the current attempt
+        self.rank: list[int] = []     # the order keys of the current attempt
 
     def _ranks(self, attempt: int) -> list[int]:
-        """Rank of each element of size <= k under labelling ``attempt``."""
-        prefix = self.ix.order[:self.n_low + self.levels[self.k].bit_count()]
+        """Per element of size <= k, a number that orders these elements as
+        the labelling of ``attempt`` does: its (size, lex) number for
+        attempt 0, its size_lex_key under the shuffled labels after that."""
+        size = self.n_low + self.levels[self.k].bit_count()
         if attempt == 0:
-            return list(range(len(prefix)))
+            return list(range(size))
         images = list(range(1, self.ix.n + 1))
         random.Random(attempt).shuffle(images)
-        perm = VarPermutation(tuple(images))
-        moved = sorted(range(len(prefix)), key=lambda i: (
-            prefix[i].bit_count(), monomial_vars(perm.apply(prefix[i]))))
-        rank = [0] * len(prefix)
-        for r, i in enumerate(moved):
-            rank[i] = r
-        return rank
+        key = size_lex_key(images)
+        return [key(s) for s in self.ix.order[:size]]
 
     def run(self, budget: int | None = None) -> list[Interval] | None:
         """Attempts 0, 1, 2, ... until one settles the decision.
@@ -367,11 +376,13 @@ class _CoverSearch:
 def certificate_from(poset: CharPoset, intervals: list[Interval],
                      k: int) -> StanleyCertificate:
     """The certificate of a cover: its intervals, then every element of the
-    poset they leave uncovered as a singleton."""
-    covered = set()
+    poset they leave uncovered as a singleton.  The intervals lie in the
+    poset and do not overlap, as the search's do."""
+    ix = poset.search_index
+    uncovered = (1 << len(ix.order)) - 1
     for iv in intervals:
-        covered.update(iv.members())
-    singles = [Interval(s, s) for s in sorted(poset.elements - covered)]
+        uncovered &= ~(ix.up[ix.index[iv.lower]] & ix.down[ix.index[iv.upper]])
+    singles = [Interval(s, s) for s in sorted(ix.order[i] for i in bits(uncovered))]
     all_ivs = intervals + singles
     claimed = min((iv.upper.bit_count() for iv in all_ivs), default=k)
     return StanleyCertificate(all_ivs, claimed)
@@ -400,24 +411,26 @@ def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
     if not poset.elements:
         raise ValueError("J/I is the zero module (I = J)")
     upper_bound = min(s.bit_count() for s in poset.maximal_elements())
-    total_nodes = 0
-    best_cert = StanleyCertificate(
-        [Interval(s, s) for s in sorted(poset.elements)],
-        min(s.bit_count() for s in poset.elements))
-    best_k = best_cert.claimed_sdepth
+    total_nodes, exact = 0, True
+    best_k, best_cert = poset.search_index.order[0].bit_count(), None
     k = best_k + 1
     while k <= upper_bound:
         remaining = None if node_budget is None else node_budget - total_nodes
         try:
             cert, nodes = sdepth_at_least(poset, k, budget=remaining)
         except BudgetExceeded:
-            return SdepthResult(best_k, best_cert, False, node_budget)
+            total_nodes, exact = node_budget, False
+            break
         total_nodes += nodes
         if cert is None:
             break
         best_k, best_cert = k, cert
         k += 1
-    return SdepthResult(best_k, best_cert, True, total_nodes)
+    if best_cert is None:
+        # no decision succeeded: every element is its own interval
+        best_cert = StanleyCertificate(
+            [Interval(s, s) for s in sorted(poset.elements)], best_k)
+    return SdepthResult(best_k, best_cert, exact, total_nodes)
 
 
 def validate_decomposition(cert: StanleyCertificate,

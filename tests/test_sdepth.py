@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
-                              divides, monomial)
+                              divides, monomial, monomial_vars)
 from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval,
                               StanleyCertificate, _CoverSearch, build_char_poset,
                               certificate_from, luby, sdepth_at_least,
-                              stanley_depth, validate_decomposition)
+                              size_lex_key, stanley_depth,
+                              validate_decomposition)
 
 
 def test_char_poset_of_cycle_quotient():
@@ -363,15 +364,28 @@ def test_prop1_n13_certificate_beats_the_stated_value():
     assert cert.claimed_sdepth >= 8
 
 
+def _is_convex(elements, n):
+    """Reference: no mask outside the set lies between two of its elements."""
+    return not any(m not in elements
+                   and any(divides(s, m) for s in elements)
+                   and any(divides(m, t) for t in elements)
+                   for m in range(1 << n))
+
+
 def test_search_index_matches_pair_scan():
     rng = random.Random(11)
     posets = [build_char_poset(j, i) for j, i in _random_pairs(10, 5)]
-    # arbitrary element sets too: the index must not assume convexity
+    # arbitrary element sets too: the index must refuse the ones that are
+    # not convex, since it reads intervals off their ends
     for _ in range(20):
         n = rng.randint(1, 6)
         posets.append(CharPoset(n, frozenset(
             s for s in range(1 << n) if rng.random() < 0.5)))
     for poset in posets:
+        if not _is_convex(poset.elements, poset.n):
+            with pytest.raises(ValueError, match="not convex"):
+                poset.search_index
+            continue
         ix = poset.search_index
         assert sorted(ix.order) == sorted(poset.elements)
         for a, s in enumerate(ix.order):
@@ -392,6 +406,67 @@ def test_search_index_matches_pair_scan():
                     and all(m in poset.elements
                             for m in Interval(s, t).members()))
                 for s in low]
+
+
+@pytest.mark.parametrize("elements", [{-1, 1}, {9, 1}])
+def test_masks_outside_the_ambient_are_refused(elements):
+    # -1 would alias mask 7 in the 2^3 tables, and 9 would index past them
+    poset = CharPoset(3, frozenset(elements))
+    with pytest.raises(ValueError, match="outside"):
+        poset.maximal_elements()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 10, 16])
+def test_size_lex_key_orders_like_the_tuple_key(n):
+    rng = random.Random(n)
+    masks = list(range(1 << n)) if n <= 10 else rng.sample(range(1 << n), 3000)
+    for a in range(4):
+        images = list(range(1, n + 1))
+        random.Random(a).shuffle(images)
+        perm = VarPermutation(tuple(images))
+        key = size_lex_key(images)
+        want = sorted(masks, key=lambda s: (s.bit_count(),
+                                            monomial_vars(perm.apply(s))))
+        assert sorted(masks, key=key) == want, a
+
+
+def _certificate_by_members(poset, intervals, k):
+    """Reference: list every member of every interval."""
+    covered = set()
+    for iv in intervals:
+        covered.update(iv.members())
+    all_ivs = intervals + [Interval(s, s)
+                           for s in sorted(poset.elements - covered)]
+    claimed = min((iv.upper.bit_count() for iv in all_ivs), default=k)
+    return StanleyCertificate(all_ivs, claimed)
+
+
+def test_certificate_from_matches_member_enumeration():
+    checked = 0
+    for j, i in _random_pairs(20, 8):
+        poset = build_char_poset(j, i)
+        for k in range(1, j.n + 1):
+            search = _CoverSearch(poset.search_index, k)
+            cover = (search.attempt(0) if all(search.cand_topbits) else None) or []
+            for used in sorted({0, len(cover) // 2, len(cover)}):
+                part = cover[:used]
+                got = certificate_from(poset, part, k)
+                want = _certificate_by_members(poset, part, k)
+                assert (got.intervals, got.claimed_sdepth) == \
+                    (want.intervals, want.claimed_sdepth), (k, used)
+                checked += bool(used)
+    assert checked > 20
+
+
+def test_budget_spent_before_any_decision_gives_the_singletons():
+    j, i = MonomialIdeal.whole_ring(9), cycle_ideal(9, 3)
+    poset = build_char_poset(j, i)
+    res = stanley_depth(j, i, node_budget=1)
+    assert not res.exact and res.nodes == 1
+    assert res.sdepth == res.certificate.claimed_sdepth == 0
+    assert res.certificate.intervals == [Interval(s, s)
+                                         for s in sorted(poset.elements)]
+    assert validate_decomposition(res.certificate, j, i)
 
 
 def test_decision_keeps_no_cube_per_candidate():
