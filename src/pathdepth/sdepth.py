@@ -233,7 +233,11 @@ class _CoverSearch:
         self.failed: set[int] = set()
         self.binom = [[comb(k - s, l - s) if l >= s else 0 for l in range(k)]
                       for s in range(k)]
-        self.rank: list[int] = []     # the order keys of the current attempt
+        # of the current attempt: the order keys, and per low element i
+        # score[i] = (live tops of i) * radix + rank[i], radix > every rank
+        self.rank: list[int] = []
+        self.score: list[int] = []
+        self.radix = 1
 
     def _ranks(self, attempt: int) -> list[int]:
         """Per element of size <= k, a number that orders these elements as
@@ -252,9 +256,9 @@ class _CoverSearch:
 
         Attempt a may visit (F + 1)·luby(a + 1) nodes, where F is the number
         of intervals every solution places, so an attempt that meets no dead
-        end finishes inside its slice.  A budget caps the nodes of all attempts together
-        (BudgetExceeded); without one the slices grow without bound, so the
-        search stays complete."""
+        end finishes inside its slice.  A budget caps the nodes of all
+        attempts together (BudgetExceeded); without one the slices grow
+        without bound, so the search stays complete."""
         if not all(self.cand_topbits):
             return None
         unit = (self._forced_intervals((1 << len(self.ix.order)) - 1) or 0) + 1
@@ -293,43 +297,27 @@ class _CoverSearch:
             total += need
         return total if total <= counts[k] else None
 
-    def _pick_branch(self, uncovered: int) -> int | None:
-        """Among the uncovered low elements of minimal size, the one with the
-        fewest live tops (ties to the lowest rank); None if every low
-        element is covered.  Assumes no uncovered low element is dead."""
+    def _visit(self, uncovered: int, walked: list[int]) -> int | None:
+        """The branch element of the state ``uncovered``, None if it covers
+        every low element, or -1 if it is a dead end.  ``walked`` are the
+        elements that lost a live top since the parent state, so only they
+        can have lost their last one.  The branch is the lowest score of
+        the lowest live level: fewest live tops, ties to the lowest rank."""
+        score, radix = self.score, self.radix
+        if any(score[i] < radix for i in walked):
+            return -1
         for level in self.levels[:self.k]:
             live = level & uncovered
             if live:
                 break
         else:
             return None
-        best, best_count = -1, -1
-        for i in sorted(bits(live), key=self.rank.__getitem__):
-            count = (self.cand_topbits[i] & uncovered).bit_count()
-            if best < 0 or count < best_count:
-                best, best_count = i, count
-                if count == 1:
-                    break
-        return best
-
-    def _visit(self, uncovered: int, touched: int) -> int | None:
-        """The branch element of the state ``uncovered``, None if it covers
-        every low element, or -1 if it is a dead end.  Only the elements in
-        ``touched`` can have lost their last live top since the parent
-        state: placing [s,t] takes t, the one size-k element of its cube,
-        off the live tops of exactly the elements below t."""
-        for i in bits(touched & uncovered):
-            if not self.cand_topbits[i] & uncovered:
-                return -1
-        branch = self._pick_branch(uncovered)
-        if branch is None:
-            return None
         if uncovered in self.failed:
             return -1
         if self._forced_intervals(uncovered) is None:
             self.failed.add(uncovered)
             return -1
-        return branch
+        return min(bits(live), key=score.__getitem__)
 
     def attempt(self, a: int, stop: int | None = None) -> list[Interval] | None:
         """Depth-first search under the ranks of attempt ``a``: the intervals
@@ -337,32 +325,41 @@ class _CoverSearch:
         instead of visiting a node once ``self.nodes``, counted over all
         attempts, has reached ``stop``."""
         self.rank = rank = self._ranks(a)
+        self.radix = radix = max(rank, default=0) + 1
+        self.score = score = [c.bit_count() * radix + r
+                              for c, r in zip(self.cand_topbits, rank)]
         order, up, down = self.ix.order, self.ix.up, self.ix.down
-        # per open state: its uncovered bitmap, branch and candidate tops left
-        # in rank order; placed[d] is the (branch, top) that leads from
-        # stack[d] to stack[d+1]
+        # per open state: its uncovered bitmap, branch and live candidate tops
+        # left in rank order; placed[d] is the (branch, top, walked) that
+        # leads from stack[d] to stack[d+1], walked being the uncovered
+        # elements below top, whose scores it lowered by one radix
         stack: list[tuple] = []
-        placed: list[tuple[int, int]] = []
-        uncovered, touched = (1 << len(order)) - 1, 0
+        placed: list[tuple[int, int, list[int]]] = []
+        uncovered, walked = (1 << len(order)) - 1, []
         while True:
             if self.nodes == stop:
                 raise BudgetExceeded
             self.nodes += 1
-            branch = self._visit(uncovered, touched)
+            branch = self._visit(uncovered, walked)
             if branch is None:
-                return [Interval(order[s], order[t]) for s, t in placed]
+                return [Interval(order[s], order[t]) for s, t, _ in placed]
             if branch >= 0:
-                tops = sorted(bits(self.cand_topbits[branch]),
+                tops = sorted(bits(self.cand_topbits[branch] & uncovered),
                               key=rank.__getitem__)
                 stack.append((uncovered, branch, iter(tops)))
             while stack:
                 uncovered, branch, left = stack[-1]
-                del placed[len(stack) - 1:]
+                if len(placed) == len(stack):
+                    for i in placed.pop()[2]:
+                        score[i] += radix
                 for top in left:
                     cube = up[branch] & down[top]
                     if cube & uncovered == cube:
-                        placed.append((branch, top))
-                        uncovered, touched = uncovered & ~cube, down[top]
+                        uncovered &= ~cube
+                        walked = list(bits(down[top] & uncovered))
+                        for i in walked:
+                            score[i] -= radix
+                        placed.append((branch, top, walked))
                         break
                 else:
                     self.failed.add(uncovered)
@@ -375,9 +372,11 @@ class _CoverSearch:
 
 def certificate_from(poset: CharPoset, intervals: list[Interval],
                      k: int) -> StanleyCertificate:
-    """The certificate of a cover: its intervals, then every element of the
-    poset they leave uncovered as a singleton.  The intervals lie in the
-    poset and do not overlap, as the search's do."""
+    """The certificate of a cover, as sdepth_at_least returns it: its
+    intervals, then every element of the poset they leave uncovered as a
+    singleton, claiming the smallest top (k if there are no intervals at
+    all).  The intervals lie in the poset and do not overlap, as the
+    search's do; an empty cover gives the all-singletons certificate."""
     ix = poset.search_index
     uncovered = (1 << len(ix.order)) - 1
     for iv in intervals:
@@ -389,19 +388,18 @@ def certificate_from(poset: CharPoset, intervals: list[Interval],
 
 
 def sdepth_at_least(poset: CharPoset, k: int, budget=None):
-    """A certificate with every interval top of size >= k, or None.
+    """A cover of every element of size < k by intervals with tops of size
+    k, or None if there is none.
 
-    Returns (certificate | None, nodes used by every attempt).  Raises
-    BudgetExceeded if the node budget runs out before the decision is
-    settled.
+    Returns (cover | None, nodes used by every attempt); the cover is a
+    list of Interval, and certificate_from(poset, cover, k) is its
+    certificate.  Raises BudgetExceeded if the node budget runs out before
+    the decision is settled.
     """
     if k < 0 or k > poset.n:
         raise ValueError(f"k={k} outside 0..{poset.n}")
     search = _CoverSearch(poset.search_index, k)
-    intervals = search.run(budget)
-    if intervals is None:
-        return None, search.nodes
-    return certificate_from(poset, intervals, k), search.nodes
+    return search.run(budget), search.nodes
 
 
 def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
@@ -412,25 +410,22 @@ def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
         raise ValueError("J/I is the zero module (I = J)")
     upper_bound = min(s.bit_count() for s in poset.maximal_elements())
     total_nodes, exact = 0, True
-    best_k, best_cert = poset.search_index.order[0].bit_count(), None
+    best_k, best_cover = poset.search_index.order[0].bit_count(), []
     k = best_k + 1
     while k <= upper_bound:
         remaining = None if node_budget is None else node_budget - total_nodes
         try:
-            cert, nodes = sdepth_at_least(poset, k, budget=remaining)
+            cover, nodes = sdepth_at_least(poset, k, budget=remaining)
         except BudgetExceeded:
             total_nodes, exact = node_budget, False
             break
         total_nodes += nodes
-        if cert is None:
+        if cover is None:
             break
-        best_k, best_cert = k, cert
+        best_k, best_cover = k, cover
         k += 1
-    if best_cert is None:
-        # no decision succeeded: every element is its own interval
-        best_cert = StanleyCertificate(
-            [Interval(s, s) for s in sorted(poset.elements)], best_k)
-    return SdepthResult(best_k, best_cert, exact, total_nodes)
+    return SdepthResult(best_k, certificate_from(poset, best_cover, best_k),
+                        exact, total_nodes)
 
 
 def validate_decomposition(cert: StanleyCertificate,

@@ -13,8 +13,8 @@ from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import MonomialIdeal, VarPermutation, monomial
 from pathdepth.oracle import MATCH, expectation, phi, verify_suite
 from pathdepth.sdepth import (Interval, StanleyCertificate, build_char_poset,
-                              sdepth_at_least, stanley_depth,
-                              validate_decomposition)
+                              certificate_from, sdepth_at_least,
+                              stanley_depth, validate_decomposition)
 from pathdepth.towers import (check_exact_sequence_inequalities,
                               check_tower_identifications, displayed_l0_j3,
                               displayed_l1_j3, displayed_u1_j3,
@@ -183,8 +183,10 @@ def test_criterion_09_property_suites():
         if j_ideal.n > 8:
             continue
         poset = build_char_poset(j_ideal, i_ideal)
-        cert, _ = sdepth_at_least(poset, res.sdepth)
-        assert cert is not None
+        cover, _ = sdepth_at_least(poset, res.sdepth)
+        assert cover is not None
+        assert validate_decomposition(
+            certificate_from(poset, cover, res.sdepth), j_ideal, i_ideal)
         upper = min(bin(s).count("1") for s in poset.maximal_elements())
         if res.sdepth < upper:
             refuted, _ = sdepth_at_least(poset, res.sdepth + 1)

@@ -77,12 +77,13 @@ def test_sdepth_at_least_monotone():
     poset = build_char_poset(MonomialIdeal.whole_ring(6), cycle_ideal(6, 3))
     res = stanley_depth(MonomialIdeal.whole_ring(6), cycle_ideal(6, 3))
     for k in range(1, res.sdepth + 1):
-        cert, _ = sdepth_at_least(poset, k)
-        assert cert is not None
-        assert validate_decomposition(cert, MonomialIdeal.whole_ring(6),
+        cover, _ = sdepth_at_least(poset, k)
+        assert cover is not None
+        assert validate_decomposition(certificate_from(poset, cover, k),
+                                      MonomialIdeal.whole_ring(6),
                                       cycle_ideal(6, 3))
-    cert, _ = sdepth_at_least(poset, res.sdepth + 1)
-    assert cert is None
+    cover, _ = sdepth_at_least(poset, res.sdepth + 1)
+    assert cover is None
 
 
 def test_budget_gives_inexact_lower_bound():
@@ -263,8 +264,8 @@ def _assert_pinned_and_refuted(j, i, sdepth, nodes, digest):
     assert (res.sdepth, res.nodes) == (sdepth, nodes)
     assert _digest(res.certificate).startswith(digest)
     if sdepth < j.n:
-        cert, _ = sdepth_at_least(build_char_poset(j, i), sdepth + 1)
-        assert cert is None
+        cover, _ = sdepth_at_least(build_char_poset(j, i), sdepth + 1)
+        assert cover is None
 
 
 def _attempt_zero_depth(j, i):
@@ -325,6 +326,81 @@ def test_attempt_is_the_search_on_the_relabelled_poset():
             else:
                 assert got == [Interval(back.apply(iv.lower), back.apply(iv.upper))
                                for iv in want], (case, k)
+
+
+def test_branch_pick_matches_a_rescan(monkeypatch):
+    # the scores kept up by placing and undoing intervals must give, at every
+    # visited node, the dead-end verdict and the branch of a full re-scan:
+    # fewest live tops in the lowest live level, ties to the lowest rank
+    visit, visited = _CoverSearch._visit, []
+
+    def rescanned(self, uncovered, walked):
+        live = {i: (self.cand_topbits[i] & uncovered).bit_count()
+                for i in range(self.n_low) if uncovered >> i & 1}
+        gives_up = (uncovered in self.failed
+                    or self._forced_intervals(uncovered) is None)
+        got = visit(self, uncovered, walked)
+        if 0 in live.values():
+            want = -1
+        elif not live:
+            want = None
+        else:
+            size = min(self.ix.order[i].bit_count() for i in live)
+            want = -1 if gives_up else min(
+                (i for i in live if self.ix.order[i].bit_count() == size),
+                key=lambda i: (live[i], self.rank[i]))
+        assert got == want
+        visited.append(got)
+        return got
+
+    monkeypatch.setattr(_CoverSearch, "_visit", rescanned)
+    # the random pairs seldom backtrack; cyc:9:3 does at k = 5
+    for j, i in _random_pairs(200, 12) + [NAMED_PINS["cyc:9:3"][:2]]:
+        poset = build_char_poset(j, i)
+        for k in range(1, j.n + 1):
+            search = _CoverSearch(poset.search_index, k)
+            if not all(search.cand_topbits):
+                continue
+            for a in range(4):
+                try:
+                    search.attempt(a, search.nodes + 300)
+                except BudgetExceeded:
+                    pass
+    assert len(visited) > 20_000 and visited.count(-1) > 100
+
+
+@pytest.mark.parametrize("j, i, budget", [
+    (MonomialIdeal.whole_ring(9), cycle_ideal(9, 3), None),
+    (line_ideal(8, 1), MonomialIdeal.zero(8), None),
+    (MonomialIdeal.whole_ring(9), cycle_ideal(9, 3), 1),
+])
+def test_decisions_go_through_the_module_and_certify_once(
+        monkeypatch, j, i, budget):
+    # the benchmark's tracer counts decisions by wrapping the module
+    # attribute sdepth_at_least; only the final cover becomes a certificate
+    calls = {sdepth_at_least: 0, certificate_from: 0}
+
+    def counted(func):
+        def wrapper(*args, **kwargs):
+            calls[func] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for func in calls:
+        monkeypatch.setattr(f"pathdepth.sdepth.{func.__name__}", counted(func))
+    res = stanley_depth(j, i, node_budget=budget)
+    poset = build_char_poset(j, i)
+    lowest = min(s.bit_count() for s in poset.elements)
+    upper = min(s.bit_count() for s in poset.maximal_elements())
+    if budget is None:
+        decisions = res.sdepth - lowest + (res.sdepth < upper)
+    else:
+        # spent inside the first decision, which leaves the all-singletons
+        # certificate (test_budget_spent_before_any_decision_gives_the_singletons)
+        assert not res.exact and res.sdepth == lowest
+        decisions = 1
+    assert calls == {sdepth_at_least: decisions, certificate_from: 1}
+    assert validate_decomposition(res.certificate, j, i)
 
 
 @pytest.mark.parametrize("j, i", [
@@ -476,11 +552,13 @@ def test_decision_keeps_no_cube_per_candidate():
     poset.search_index  # built outside the measurement
     tracemalloc.start()
     try:
-        cert, _ = sdepth_at_least(poset, 6)
+        cover, _ = sdepth_at_least(poset, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cert is not None
+    assert cover is not None
+    assert validate_decomposition(certificate_from(poset, cover, 6),
+                                  line_ideal(12, 1), MonomialIdeal.zero(12))
     assert peak < 4_000_000
 
 
