@@ -67,18 +67,24 @@ def chain_homology_ranks(cells: dict[int, list[int]], field) -> list[int]:
             for s in range(top + 1)]
 
 
-def _pair_off(work: deque, alive: set[int], vertices: list[int]) -> None:
-    """Remove reducible cells from alive, testing those queued in work.
+def _pair_off(start: list[int], alive: bytearray, vertices: list[int]) -> None:
+    """Remove reducible cells from alive (indexed by face mask), testing
+    the live cells of start and then every cell queued again.
 
     A cell with exactly one facet left (a coreduction) or exactly one
     cofacet left (a free face) goes together with that partner, and the
-    neighbours of both are queued again.
+    live neighbours of both are queued again, each at most once at a time.
     """
+    work = deque(f for f in start if alive[f])
+    queued = bytearray(len(alive))
+    for f in work:
+        queued[f] = 1
     while work:
         c = work.popleft()
-        if c not in alive:
+        queued[c] = 0
+        if not alive[c]:
             continue
-        near = [x for x in [c ^ v for v in vertices] if x in alive]
+        near = [x for x in [c ^ v for v in vertices] if alive[x]]
         down = [x for x in near if x < c]
         if len(down) == 1:
             partner = down[0]
@@ -86,10 +92,11 @@ def _pair_off(work: deque, alive: set[int], vertices: list[int]) -> None:
             partner = max(near)
         else:
             continue
-        alive.discard(c)
-        alive.discard(partner)
-        work.extend(near)
-        work.extend([x for x in [partner ^ v for v in vertices] if x in alive])
+        alive[c] = alive[partner] = 0
+        for x in near + [partner ^ v for v in vertices]:
+            if alive[x] and not queued[x]:
+                queued[x] = 1
+                work.append(x)
 
 
 def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
@@ -104,16 +111,19 @@ def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
     first vertex, which coreduces it; a second sweep tests every cell left,
     including those no removal reached.
     """
-    alive = set(faces)
     union = 0
     for f in faces:
         union |= f
+    alive = bytearray(1 << union.bit_length())
+    for f in faces:
+        alive[f] = 1
     vertices = [1 << b for b in bits(union)]
-    _pair_off(deque(faces[:2]), alive, vertices)
-    _pair_off(deque(sorted(alive)), alive, vertices)
+    _pair_off(faces[:2], alive, vertices)
+    _pair_off(faces, alive, vertices)
     cells: dict[int, list[int]] = {}
-    for f in sorted(alive):
-        cells.setdefault(f.bit_count(), []).append(f)
+    for f in faces:
+        if alive[f]:
+            cells.setdefault(f.bit_count(), []).append(f)
     return cells
 
 

@@ -204,9 +204,10 @@ class MonomialIdeal:
 
     def member_table(self) -> list[bool]:
         """Per mask of all 2^n, whether it lies in the ideal."""
-        if self.is_whole_ring:
+        if self.is_whole_ring or not self.gens:
+            # every mask or none: no zeta pass needed
             check_table_n(self.n)
-            return [True] * (1 << self.n)
+            return [self.is_whole_ring] * (1 << self.n)
         return [lcm != 0 for lcm in self.lcm_table()]
 
     # -- operations ---------------------------------------------------

@@ -225,7 +225,7 @@ class VerificationReport:
 
 # default desk-scale caps for the harness
 DEPTH_N_CAP = 16
-SDEPTH_N_CAP = 14
+SDEPTH_N_CAP = 16
 
 
 def compute_row(family: str, n: int, m: int | None, quantity: str,

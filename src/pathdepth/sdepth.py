@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
+import numpy as np
+
 from .ideals import (MonomialIdeal, bits, check_table_n, divides, monomial,
                      monomial_vars, subsets, zeta)
 
@@ -200,6 +202,25 @@ def luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
+def bit_planes(values) -> list[int]:
+    """Bit-sliced form of non-negative ints: bit i of plane j is bit j of
+    ``values[i]``, for the max(values).bit_length() planes j."""
+    vals = np.asarray(values, dtype=np.int64)
+    return [int.from_bytes(np.packbits(vals >> j & 1, bitorder="little")
+                           .tobytes(), "little")
+            for j in range(int(vals.max(initial=0)).bit_length())]
+
+
+def least(cand: int, planes: list[int]) -> int:
+    """The bits of ``cand`` whose bit-sliced value in ``planes`` is least,
+    found by walking the planes from the most significant one."""
+    for p in reversed(planes):
+        rest = cand & ~p
+        if rest:
+            cand = rest
+    return cand
+
+
 class _CoverSearch:
     """Backtracking exact-cover search for the decision sdepth >= k.
 
@@ -211,6 +232,13 @@ class _CoverSearch:
     matters for soundness: a minimal-size uncovered element must be the
     lower end of whatever interval covers it, since a strictly smaller
     lower end would itself still be uncovered.
+
+    The live-top counts of the elements of size < k are kept bit-sliced
+    (``bit_planes``), so each node updates and reads them with a few
+    big-int operations per plane and walks no level element by element.
+    ``start_planes`` holds each element's number of candidate tops; an
+    attempt works on a copy, ``planes``, which placing [s,t] lowers by one
+    for the uncovered elements below t and undoing the placement restores.
 
     The decision runs as a series of attempts (``attempt``).  Attempt 0
     ranks elements by their own (size, lex) number; attempt a >= 1 ranks
@@ -230,26 +258,31 @@ class _CoverSearch:
         # poset: as the poset is convex, every size-k element above s
         tops = self.levels[k]
         self.cand_topbits = [u & tops for u in index.up[:self.n_low]]
+        self.start_planes = bit_planes([c.bit_count() for c in self.cand_topbits])
         self.failed: set[int] = set()
         self.binom = [[comb(k - s, l - s) if l >= s else 0 for l in range(k)]
                       for s in range(k)]
-        # of the current attempt: the order keys, and per low element i
-        # score[i] = (live tops of i) * radix + rank[i], radix > every rank
-        self.rank: list[int] = []
-        self.score: list[int] = []
-        self.radix = 1
+        # of the current attempt: the live-top planes, the dense ranks of
+        # the elements of size <= k and their planes (None under attempt 0,
+        # whose ranks are the element numbers)
+        self.planes: list[int] = []
+        self.rank = range(0)
+        self.rank_planes: list[int] | None = None
 
-    def _ranks(self, attempt: int) -> list[int]:
-        """Per element of size <= k, a number that orders these elements as
-        the labelling of ``attempt`` does: its (size, lex) number for
-        attempt 0, its size_lex_key under the shuffled labels after that."""
+    def _ranks(self, attempt: int):
+        """Per element of size <= k, its rank 0, 1, ... in the order of the
+        labelling of ``attempt``: its (size, lex) number for attempt 0, its
+        size_lex_key position under the shuffled labels after that."""
         size = self.n_low + self.levels[self.k].bit_count()
         if attempt == 0:
-            return list(range(size))
+            return range(size)
         images = list(range(1, self.ix.n + 1))
         random.Random(attempt).shuffle(images)
-        key = size_lex_key(images)
-        return [key(s) for s in self.ix.order[:size]]
+        keys = np.fromiter(map(size_lex_key(images), self.ix.order[:size]),
+                           dtype=np.int64, count=size)
+        rank = np.empty(size, dtype=np.int64)
+        rank[np.argsort(keys)] = np.arange(size)
+        return rank
 
     def run(self, budget: int | None = None) -> list[Interval] | None:
         """Attempts 0, 1, 2, ... until one settles the decision.
@@ -297,14 +330,19 @@ class _CoverSearch:
             total += need
         return total if total <= counts[k] else None
 
-    def _visit(self, uncovered: int, walked: list[int]) -> int | None:
+    def _visit(self, uncovered: int, walked: int) -> int | None:
         """The branch element of the state ``uncovered``, None if it covers
-        every low element, or -1 if it is a dead end.  ``walked`` are the
-        elements that lost a live top since the parent state, so only they
-        can have lost their last one.  The branch is the lowest score of
-        the lowest live level: fewest live tops, ties to the lowest rank."""
-        score, radix = self.score, self.radix
-        if any(score[i] < radix for i in walked):
+        every low element, or -1 if it is a dead end.  ``walked`` is the
+        bitmap of the elements that lost a live top since the parent state,
+        so only they can have lost their last one: a bit clear in every
+        plane.  The branch is the least-count set of the lowest live level,
+        then the least rank in it."""
+        planes = self.planes
+        for p in planes:
+            if not walked:
+                break
+            walked &= ~p
+        if walked:
             return -1
         for level in self.levels[:self.k]:
             live = level & uncovered
@@ -317,54 +355,78 @@ class _CoverSearch:
         if self._forced_intervals(uncovered) is None:
             self.failed.add(uncovered)
             return -1
-        return min(bits(live), key=score.__getitem__)
+        branches = least(live, planes)
+        if self.rank_planes is not None:
+            branches = least(branches, self.rank_planes)
+        return (branches & -branches).bit_length() - 1
 
     def attempt(self, a: int, stop: int | None = None) -> list[Interval] | None:
         """Depth-first search under the ranks of attempt ``a``: the intervals
         of a solution, or None if there is none.  Raises BudgetExceeded
         instead of visiting a node once ``self.nodes``, counted over all
-        attempts, has reached ``stop``."""
-        self.rank = rank = self._ranks(a)
-        self.radix = radix = max(rank, default=0) + 1
-        self.score = score = [c.bit_count() * radix + r
-                              for c, r in zip(self.cand_topbits, rank)]
+        attempts, has reached ``stop``.
+
+        Placing [s,t] subtracts W = ``down[t] & uncovered``, taken after the
+        cube is cleared, from the live-top planes with a borrow chain;
+        undoing it adds the same W back with a carry chain, recomputed from
+        the stacked state it was placed on, so a placement keeps only
+        (s, t)."""
+        self.rank = self._ranks(a)
+        self.rank_planes = None if a == 0 else bit_planes(self.rank)
+        self.planes = planes = self.start_planes[:]
         order, up, down = self.ix.order, self.ix.up, self.ix.down
-        # per open state: its uncovered bitmap, branch and live candidate tops
-        # left in rank order; placed[d] is the (branch, top, walked) that
-        # leads from stack[d] to stack[d+1], walked being the uncovered
-        # elements below top, whose scores it lowered by one radix
+        # the tops are the size-k elements, base, base + 1, ...: a state
+        # lists its live tops as offsets from base, in bit order under
+        # attempt 0 and sorted by their ranks after that
+        base = self.n_low
+        top_rank = None if a == 0 else self.rank[base:].tolist().__getitem__
+        # per open state: its uncovered bitmap, branch and an iterator over
+        # its untried live candidate tops in rank order; placed[d] is the
+        # (branch, top) that leads from stack[d] to stack[d+1]
         stack: list[tuple] = []
-        placed: list[tuple[int, int, list[int]]] = []
-        uncovered, walked = (1 << len(order)) - 1, []
+        placed: list[tuple[int, int]] = []
+        uncovered, walked = (1 << len(order)) - 1, 0
         while True:
             if self.nodes == stop:
                 raise BudgetExceeded
             self.nodes += 1
             branch = self._visit(uncovered, walked)
             if branch is None:
-                return [Interval(order[s], order[t]) for s, t, _ in placed]
+                return [Interval(order[s], order[t]) for s, t in placed]
             if branch >= 0:
-                tops = sorted(bits(self.cand_topbits[branch] & uncovered),
-                              key=rank.__getitem__)
-                stack.append((uncovered, branch, iter(tops)))
+                tops = bits((self.cand_topbits[branch] & uncovered) >> base)
+                if top_rank is not None:
+                    tops = iter(sorted(tops, key=top_rank))
+                stack.append((uncovered, branch, tops))
             while stack:
                 uncovered, branch, left = stack[-1]
                 if len(placed) == len(stack):
-                    for i in placed.pop()[2]:
-                        score[i] += radix
-                for top in left:
+                    # W = down[t] & (uncovered & ~cube), cube = up[s] & down[t]
+                    carry = down[placed.pop()[1]] & uncovered & ~up[branch]
+                    j = 0
+                    while carry:
+                        p = planes[j]
+                        planes[j] = p ^ carry
+                        carry &= p
+                        j += 1
+                for t in left:
+                    top = base + t
                     cube = up[branch] & down[top]
                     if cube & uncovered == cube:
-                        uncovered &= ~cube
-                        walked = list(bits(down[top] & uncovered))
-                        for i in walked:
-                            score[i] -= radix
-                        placed.append((branch, top, walked))
                         break
                 else:
                     self.failed.add(uncovered)
                     stack.pop()
                     continue
+                uncovered &= ~cube
+                walked = borrow = down[top] & uncovered
+                j = 0
+                while borrow:
+                    p = planes[j]
+                    planes[j] = p ^ borrow
+                    borrow &= ~p
+                    j += 1
+                placed.append((branch, top))
                 break
             else:
                 return None

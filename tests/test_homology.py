@@ -1,6 +1,7 @@
 """Reduced simplicial homology over Q and GF(p)."""
 
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -123,6 +124,28 @@ def test_cone_and_simplex_reduce_to_nothing():
     for faces in (cone, simplex):
         assert reduce_faces(sorted(faces)) == {}
         assert set(reduced_homology_ranks(faces, RATIONALS).values()) == {0}
+
+
+def test_worklist_never_holds_a_cell_twice(monkeypatch):
+    # a cell already queued is not queued again, so the pops stay near the
+    # number of faces, and the homology is still that of the whole complex
+    class OnceDeque(deque):
+        def __init__(self, cells=()):
+            cells = list(cells)
+            assert len(set(cells)) == len(cells)
+            super().__init__(cells)
+
+        def append(self, cell):
+            assert cell not in self
+            super().append(cell)
+
+        def extend(self, cells):
+            for cell in cells:
+                self.append(cell)
+
+    monkeypatch.setattr("pathdepth.homology.deque", OnceDeque)
+    for faces in [_closure(RP2, 6), *_random_complexes(60, seed=5)]:
+        assert reduced_homology_ranks(faces, GF2) == _unreduced_ranks(faces, GF2)
 
 
 def test_field_validation():

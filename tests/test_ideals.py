@@ -236,3 +236,20 @@ def test_tables_stop_at_the_cap_but_contains_does_not():
     wide = MonomialIdeal(MAX_AMBIENT, (0b11,))
     assert wide.contains((1 << MAX_AMBIENT) - 1)
     assert not wide.contains(1 << (MAX_AMBIENT - 1))
+
+
+def test_zero_ideal_table_skips_the_zeta_and_keeps_the_cap(monkeypatch):
+    # the lcm-derived table of the zero ideal is all zeros; the short cut
+    # must give the same table without a zeta pass, and still refuse past
+    # the cap
+    wanted = {n: [lcm != 0 for lcm in MonomialIdeal.zero(n).lcm_table()]
+              for n in range(1, 11)}
+
+    def no_zeta(*args, **kwargs):
+        raise AssertionError("zeta pass over the zero ideal")
+
+    monkeypatch.setattr("pathdepth.ideals.zeta", no_zeta)
+    for n, table in wanted.items():
+        assert MonomialIdeal.zero(n).member_table() == table == [False] * (1 << n)
+    with pytest.raises(ValueError, match=f"cap {TABLE_MAX_N}"):
+        MonomialIdeal.zero(TABLE_MAX_N + 1).member_table()

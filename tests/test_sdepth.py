@@ -13,9 +13,9 @@ from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
                               divides, monomial, monomial_vars)
 from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval,
-                              StanleyCertificate, _CoverSearch, build_char_poset,
-                              certificate_from, luby, sdepth_at_least,
-                              size_lex_key, stanley_depth,
+                              StanleyCertificate, _CoverSearch, bit_planes,
+                              build_char_poset, certificate_from, least, luby,
+                              sdepth_at_least, size_lex_key, stanley_depth,
                               validate_decomposition)
 
 
@@ -329,9 +329,10 @@ def test_attempt_is_the_search_on_the_relabelled_poset():
 
 
 def test_branch_pick_matches_a_rescan(monkeypatch):
-    # the scores kept up by placing and undoing intervals must give, at every
-    # visited node, the dead-end verdict and the branch of a full re-scan:
-    # fewest live tops in the lowest live level, ties to the lowest rank
+    # the live-top planes kept up by placing and undoing intervals must give,
+    # at every visited node, the dead-end verdict and the branch of a full
+    # re-scan: fewest live tops in the lowest live level, ties to the lowest
+    # rank
     visit, visited = _CoverSearch._visit, []
 
     def rescanned(self, uncovered, walked):
@@ -339,6 +340,8 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
                 for i in range(self.n_low) if uncovered >> i & 1}
         gives_up = (uncovered in self.failed
                     or self._forced_intervals(uncovered) is None)
+        # walked is the bitmap of the elements below the last top placed
+        assert walked & ~uncovered == 0
         got = visit(self, uncovered, walked)
         if 0 in live.values():
             want = -1
@@ -367,6 +370,73 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
                 except BudgetExceeded:
                     pass
     assert len(visited) > 20_000 and visited.count(-1) > 100
+
+
+def test_attempts_start_from_the_decision_planes(monkeypatch):
+    # an attempt that refutes the decision has undone every placement with
+    # its carry, so its planes are the decision's again; one cut by the
+    # budget leaves the decision's own planes as they were for the next
+    # attempt.  Refutations after a placement are rare on real pairs, so
+    # this test takes every cover for a dead end: each attempt then
+    # backtracks through its whole tree, or until its budget runs out
+    visit, attempt = _CoverSearch._visit, _CoverSearch.attempt
+    outcomes = {None: 0, BudgetExceeded: 0}
+
+    def no_cover(self, uncovered, walked):
+        branch = visit(self, uncovered, walked)
+        return -1 if branch is None else branch
+
+    def checked(self, a, stop=None):
+        start = bit_planes([c.bit_count() for c in self.cand_topbits])
+        assert self.start_planes == start
+        try:
+            assert attempt(self, a, stop) is None
+        except BudgetExceeded:
+            assert self.start_planes == start
+            outcomes[BudgetExceeded] += 1
+            raise
+        assert self.planes == start
+        outcomes[None] += 1
+
+    monkeypatch.setattr(_CoverSearch, "_visit", no_cover)
+    monkeypatch.setattr(_CoverSearch, "attempt", checked)
+    for j, i in _random_pairs(60, 13):
+        poset = build_char_poset(j, i)
+        for k in range(1, j.n + 1):
+            search = _CoverSearch(poset.search_index, k)
+            if not all(search.cand_topbits):
+                continue
+            for a in range(2):
+                try:
+                    search.attempt(a, search.nodes + 500)
+                except BudgetExceeded:
+                    pass
+    assert outcomes[None] > 200 and outcomes[BudgetExceeded] > 150
+
+
+def test_bit_planes_and_least_match_brute_force():
+    rng = random.Random(3)
+    for _ in range(400):
+        top = rng.choice([1, 2, 3, 8, 1000, 1 << 40])
+        values = [rng.randrange(top) for _ in range(rng.randint(0, 90))]
+        planes = bit_planes(values)
+        assert len(planes) == max(values, default=0).bit_length()
+        assert all(p >> len(values) == 0 for p in planes)
+        for i, v in enumerate(values):
+            assert sum((p >> i & 1) << b for b, p in enumerate(planes)) == v
+        cand = rng.getrandbits(len(values) + 1) & ((1 << len(values)) - 1)
+        members = [i for i in range(len(values)) if cand >> i & 1]
+        lowest = min((values[i] for i in members), default=None)
+        assert least(cand, planes) == sum(
+            1 << i for i in members if values[i] == lowest)
+    # dense ranks leave one element, the one of least rank
+    rank = list(range(50))
+    rng.shuffle(rank)
+    planes = bit_planes(rank)
+    for _ in range(100):
+        cand = rng.getrandbits(50) | 1 << rng.randrange(50)
+        best = min((i for i in range(50) if cand >> i & 1), key=rank.__getitem__)
+        assert least(cand, planes) == 1 << best
 
 
 @pytest.mark.parametrize("j, i, budget", [
