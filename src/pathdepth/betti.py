@@ -10,7 +10,6 @@ Depth comes out of the Auslander-Buchsbaum identity depth = n - pd.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .ideals import MonomialIdeal, bits, monomial_vars, subsets
 from .homology import chain_homology_ranks, reduced_homology_ranks
@@ -118,7 +117,6 @@ def _convolve(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=4096)
 def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable:
     """All multigraded Betti numbers of S/I via Hochster's formula.
 

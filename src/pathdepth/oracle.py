@@ -7,7 +7,6 @@ and Stanley depth engines against them instance by instance.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -266,57 +265,36 @@ def _suite_instances(suite: str, n_min: int, n_max: int):
             for m in fam.suite_ms(n)]
 
 
-def _worker(args):
-    family, n, m, quantity, field_choice, budget = args
-    return compute_row(family, n, m, quantity, field_choice, budget)
-
-
 def verify_suite(suite: str, n_min: int, n_max: int,
                  field_choice: Field = RATIONALS,
                  node_budget: int | None = None,
                  depth_n_cap: int = DEPTH_N_CAP,
-                 sdepth_n_cap: int = SDEPTH_N_CAP,
-                 threads: int | None = None) -> VerificationReport:
-    """Run a family suite and compare both engines against the expectations."""
-    if threads is None:
-        raw = os.environ.get("PATHDEPTH_THREADS", "1")
-        if not raw.isdecimal() or int(raw) < 1:
-            raise ValueError("PATHDEPTH_THREADS must be a positive integer, "
-                             f"got {raw!r}")
-        threads = int(raw)
+                 sdepth_n_cap: int = SDEPTH_N_CAP) -> VerificationReport:
+    """Run a family suite and compare both engines against the expectations.
+
+    Rows are computed one after another in the calling process.  Each
+    instance with both quantities computed also gets a stanley_inequality
+    row: sdepth >= depth.
+    """
     # both engines refuse larger n, so past it their rows are skipped
-    depth_n_cap = min(depth_n_cap, TABLE_MAX_N)
-    sdepth_n_cap = min(sdepth_n_cap, TABLE_MAX_N)
-    jobs = []
-    skipped_rows = []
+    caps = {"depth": min(depth_n_cap, TABLE_MAX_N),
+            "sdepth": min(sdepth_n_cap, TABLE_MAX_N)}
+    report = VerificationReport()
     for family, n, m, quantities in _suite_instances(suite, n_min, n_max):
+        computed = {}
         for quantity in quantities:
-            cap = depth_n_cap if quantity == "depth" else sdepth_n_cap
-            if n > cap:
+            if n > caps[quantity]:
                 exp = expectation(family, n, quantity, m=m)
-                skipped_rows.append(Row(family, n, m, quantity, exp.lo, exp.hi,
-                                        None, SKIPPED, 0.0, f"n > cap {cap}"))
+                row = Row(family, n, m, quantity, exp.lo, exp.hi, None, SKIPPED,
+                          0.0, f"n > cap {caps[quantity]}")
             else:
-                jobs.append((family, n, m, quantity, field_choice, node_budget))
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_worker, jobs))
-    else:
-        rows = [_worker(j) for j in jobs]
-    report = VerificationReport(rows + skipped_rows)
-    # Stanley inequality: sdepth >= depth wherever both were computed
-    seen: dict[tuple, dict[str, int]] = {}
-    for r in report.rows:
-        if r.computed is not None and r.status != SKIPPED:
-            seen.setdefault((r.family, r.n, r.m), {})[r.quantity] = r.computed
-    for (family, n, m), vals in sorted(seen.items(),
-                                       key=lambda kv: (kv[0][0], kv[0][1])):
-        if "depth" in vals and "sdepth" in vals:
-            ok = vals["sdepth"] >= vals["depth"]
-            report.rows.append(Row(
-                family, n, m, "stanley_inequality", None, None,
-                vals["sdepth"] - vals["depth"],
-                MATCH if ok else VIOLATION, 0.0,
-                "sdepth - depth"))
+                row = compute_row(family, n, m, quantity, field_choice, node_budget)
+                if row.status != SKIPPED:
+                    computed[quantity] = row.computed
+            report.rows.append(row)
+        if len(computed) == 2:
+            gap = computed["sdepth"] - computed["depth"]
+            report.rows.append(Row(family, n, m, "stanley_inequality", None,
+                                   None, gap, MATCH if gap >= 0 else VIOLATION,
+                                   0.0, "sdepth - depth"))
     return report

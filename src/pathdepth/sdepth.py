@@ -254,11 +254,12 @@ class _CoverSearch:
         self.nodes = 0
         self.levels = index.levels[:k + 1]
         self.n_low = sum(m.bit_count() for m in self.levels[:k])
-        # per low element s, the bitmap of the size-k tops t with [s,t] in the
+        # per low element s, the number of size-k tops t with [s,t] in the
         # poset: as the poset is convex, every size-k element above s
         tops = self.levels[k]
-        self.cand_topbits = [u & tops for u in index.up[:self.n_low]]
-        self.start_planes = bit_planes([c.bit_count() for c in self.cand_topbits])
+        counts = [(u & tops).bit_count() for u in index.up[:self.n_low]]
+        self.root_dead = not all(counts)
+        self.start_planes = bit_planes(counts)
         self.failed: set[int] = set()
         self.binom = [[comb(k - s, l - s) if l >= s else 0 for l in range(k)]
                       for s in range(k)]
@@ -292,7 +293,7 @@ class _CoverSearch:
         end finishes inside its slice.  A budget caps the nodes of all
         attempts together (BudgetExceeded); without one the slices grow
         without bound, so the search stays complete."""
-        if not all(self.cand_topbits):
+        if self.root_dead:
             return None
         unit = (self._forced_intervals((1 << len(self.ix.order)) - 1) or 0) + 1
         for a in itertools.count():
@@ -378,7 +379,7 @@ class _CoverSearch:
         # the tops are the size-k elements, base, base + 1, ...: a state
         # lists its live tops as offsets from base, in bit order under
         # attempt 0 and sorted by their ranks after that
-        base = self.n_low
+        base, top_level = self.n_low, self.levels[self.k]
         top_rank = None if a == 0 else self.rank[base:].tolist().__getitem__
         # per open state: its uncovered bitmap, branch and an iterator over
         # its untried live candidate tops in rank order; placed[d] is the
@@ -394,7 +395,7 @@ class _CoverSearch:
             if branch is None:
                 return [Interval(order[s], order[t]) for s, t in placed]
             if branch >= 0:
-                tops = bits((self.cand_topbits[branch] & uncovered) >> base)
+                tops = bits((up[branch] & top_level & uncovered) >> base)
                 if top_rank is not None:
                     tops = iter(sorted(tops, key=top_rank))
                 stack.append((uncovered, branch, tops))

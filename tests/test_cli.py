@@ -46,6 +46,15 @@ def test_betti_csv(capsys):
     assert "0,,1" in lines[1]  # beta_{0,0} = 1
 
 
+def test_betti_json(capsys):
+    assert run_command(["betti", "--graph", "cycle", "--n", "4", "--m", "3",
+                        "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0] == {"i": 0, "sigma": [], "beta": 1}
+    assert rows[-1] == {"i": 2, "sigma": [1, 2, 3, 4], "beta": 3}
+    assert len(rows) == 6
+
+
 def test_sdepth_quotient(capsys):
     assert run_command(["sdepth", "--graph", "cycle", "--n", "4", "--m", "3"]) == 0
     assert capsys.readouterr().out.strip() == "2"
@@ -128,15 +137,6 @@ def test_budget_limited_certificates_say_inexact(tmp_path, capsys):
     assert "exact" not in json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("value", ["x", "0", "-1"])
-def test_bad_thread_count_exits_two(value, monkeypatch, capsys):
-    monkeypatch.setenv("PATHDEPTH_THREADS", value)
-    assert run_command(["verify", "--suite", "prop1", "--n-min", "4",
-                        "--n-max", "4"]) == 2
-    assert capsys.readouterr().err.strip() == (
-        f"error: PATHDEPTH_THREADS must be a positive integer, got {value!r}")
-
-
 @pytest.mark.parametrize("argv", [
     ["depth"],                                          # module unspecified
     ["depth", "--graph", "line", "--n", "4"],           # m missing
@@ -145,10 +145,12 @@ def test_bad_thread_count_exits_two(value, monkeypatch, capsys):
     ["sdepth", "--graph", "line", "--n", "4", "--m", "2",
      "--module", "subquotient"],                        # needs a cycle
     ["depth", "--ideal-file", "ideal.json", "--n", "9"],  # n from the file
+    ["sdepth", "--graph", "cycle", "--n", "4", "--m", "4",
+     "--module", "subquotient"],                        # J_{4,4} = I_{4,4}
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert run_command(argv) == 2
-    capsys.readouterr()
+    assert "error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,7 +247,11 @@ def test_depth_of_zero_module_rejected(capsys, tmp_path):
     path = tmp_path / "unit.json"
     path.write_text(json.dumps({"n": 3, "gens": [[]]}))
     assert run_command(["depth", "--ideal-file", str(path)]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.strip() == (
+        "error: depth of the zero module S/S is undefined")
+    assert run_command(["betti", "--ideal-file", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: Betti table of the zero module S/S is undefined")
 
 
 def _python_m_pathdepth(*argv, timeout):

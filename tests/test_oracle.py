@@ -166,13 +166,15 @@ def test_sdepth_rows_past_engine_cap_are_skipped():
     assert f"cap {TABLE_MAX_N}" in sdepth[0].note
 
 
-def test_process_pool_gives_the_serial_rows():
-    def rows(threads):
-        obj = verify_suite("j3", 4, 7, threads=threads).to_json_obj()
-        for r in obj:
-            del r["elapsed"]
-        return obj
-    assert rows(2) == rows(1)
+def test_table_shows_bounds_and_dashes():
+    # j3 at n = 5: bounds on both quantities, none on the inequality row
+    lines = verify_suite("j3", 5, 5).to_table_lines()
+    assert lines[0].split() == ["family", "n", "m", "quantity", "expected",
+                                "computed", "status", "note"]
+    assert [line.split()[:7] for line in lines[1:]] == [
+        ["j3", "5", "3", "depth", "[2,3]", "2", "WITHIN_BOUNDS"],
+        ["j3", "5", "3", "sdepth", "[2,3]", "2", "WITHIN_BOUNDS"],
+        ["j3", "5", "3", "stanley_inequality", "-", "0", "MATCH"]]
 
 
 def test_family_registry_drives_expectations_modules_and_suite(capsys):

@@ -152,6 +152,14 @@ def test_validate_rejects_escape_and_gap():
     assert not result and "cover" in result.reason
 
 
+def test_validate_rejects_a_bad_module_pair():
+    # the pair swapped: the wrap-around paths of J_{5,3} are not in I_{5,3}
+    result = validate_decomposition(StanleyCertificate([], 0),
+                                    line_ideal(5, 3), cycle_ideal(5, 3))
+    assert not result
+    assert result.reason == "bad module pair: I is not contained in J"
+
+
 def test_validate_rejects_wrong_claim():
     j, i = cycle_ideal(4, 3), line_ideal(4, 3)
     cert = StanleyCertificate([Interval(monomial([1, 3, 4], 4), monomial([1, 3, 4], 4)),
@@ -268,6 +276,13 @@ def _assert_pinned_and_refuted(j, i, sdepth, nodes, digest):
         assert cover is None
 
 
+def _live_tops(search):
+    """Per low element s of a decision, the bitmap of its candidate tops:
+    by convexity, every size-k element above s."""
+    tops = search.levels[search.k]
+    return [u & tops for u in search.ix.up[:search.n_low]]
+
+
 def _attempt_zero_depth(j, i):
     """stanley_depth's walk over k, each decision one unbounded attempt 0."""
     poset = build_char_poset(j, i)
@@ -275,7 +290,7 @@ def _attempt_zero_depth(j, i):
     best, cert, nodes = min(s.bit_count() for s in poset.elements), None, 0
     for k in range(best + 1, upper + 1):
         search = _CoverSearch(poset.search_index, k)
-        intervals = search.attempt(0) if all(search.cand_topbits) else None
+        intervals = search.attempt(0) if all(_live_tops(search)) else None
         nodes += search.nodes
         if intervals is None:
             break
@@ -336,7 +351,8 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
     visit, visited = _CoverSearch._visit, []
 
     def rescanned(self, uncovered, walked):
-        live = {i: (self.cand_topbits[i] & uncovered).bit_count()
+        tops = self.levels[self.k]
+        live = {i: (self.ix.up[i] & tops & uncovered).bit_count()
                 for i in range(self.n_low) if uncovered >> i & 1}
         gives_up = (uncovered in self.failed
                     or self._forced_intervals(uncovered) is None)
@@ -362,7 +378,7 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
         poset = build_char_poset(j, i)
         for k in range(1, j.n + 1):
             search = _CoverSearch(poset.search_index, k)
-            if not all(search.cand_topbits):
+            if not all(_live_tops(search)):
                 continue
             for a in range(4):
                 try:
@@ -387,7 +403,7 @@ def test_attempts_start_from_the_decision_planes(monkeypatch):
         return -1 if branch is None else branch
 
     def checked(self, a, stop=None):
-        start = bit_planes([c.bit_count() for c in self.cand_topbits])
+        start = bit_planes([c.bit_count() for c in _live_tops(self)])
         assert self.start_planes == start
         try:
             assert attempt(self, a, stop) is None
@@ -404,7 +420,7 @@ def test_attempts_start_from_the_decision_planes(monkeypatch):
         poset = build_char_poset(j, i)
         for k in range(1, j.n + 1):
             search = _CoverSearch(poset.search_index, k)
-            if not all(search.cand_topbits):
+            if not all(_live_tops(search)):
                 continue
             for a in range(2):
                 try:
@@ -546,7 +562,7 @@ def test_search_index_matches_pair_scan():
         # the live tops of each k: every member of [s,t] in the poset
         for k in range(poset.n + 1):
             low = [s for s in ix.order if s.bit_count() < k]
-            assert _CoverSearch(ix, k).cand_topbits == [
+            assert _live_tops(_CoverSearch(ix, k)) == [
                 sum(1 << b for b, t in enumerate(ix.order)
                     if t.bit_count() == k and divides(s, t)
                     and all(m in poset.elements
@@ -593,7 +609,7 @@ def test_certificate_from_matches_member_enumeration():
         poset = build_char_poset(j, i)
         for k in range(1, j.n + 1):
             search = _CoverSearch(poset.search_index, k)
-            cover = (search.attempt(0) if all(search.cand_topbits) else None) or []
+            cover = (search.attempt(0) if all(_live_tops(search)) else None) or []
             for used in sorted({0, len(cover) // 2, len(cover)}):
                 part = cover[:used]
                 got = certificate_from(poset, part, k)

@@ -6,7 +6,7 @@ import pytest
 
 from pathdepth.betti import depth_quotient
 from pathdepth.graphs import cycle_ideal, line_ideal
-from pathdepth.ideals import MonomialIdeal, monomial
+from pathdepth.ideals import MAX_AMBIENT, MonomialIdeal, monomial
 from pathdepth.sdepth import stanley_depth
 from pathdepth.towers import (Tower, check_exact_sequence_inequalities,
                               check_tower_identifications, displayed_l0_j3,
@@ -63,13 +63,15 @@ def test_displayed_generator_lists():
 
 
 def test_identifications_hold_for_j3():
-    for n in range(4, 12):
+    # n >= 13 runs j3_pivots' general step; n = 13, 17, 21 are the
+    # bound-only case n = 1 (mod 4)
+    for n in range(4, MAX_AMBIENT + 1):
         result = check_tower_identifications(tower_sequence("j3", n))
         assert result.ok, (n, result.failures)
 
 
 def test_identifications_hold_for_jn2():
-    for n in range(5, 10):
+    for n in range(5, MAX_AMBIENT + 1):
         result = check_tower_identifications(tower_sequence("jn2", n))
         assert result.ok, (n, result.failures)
 
