@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # All engines enumerate subsets of [n]; keep the ambient size bounded.
 MAX_AMBIENT = 24
 # Both engines tabulate all 2^n masks (MonomialIdeal.lcm_table), so their
@@ -47,20 +49,19 @@ def subsets(mask: int):
         sub = (sub - 1) & mask
 
 
-def zeta(values: list[int], n: int, upward: bool) -> list[int]:
+def zeta(values: np.ndarray, n: int, upward: bool) -> np.ndarray:
     """Subset zeta transform of a table over all 2^n masks, in place.
 
     Afterwards entry s is the OR of the old entries of every superset of s
-    (upward) or every subset of s; n·2^(n-1) ORs.
+    (upward) or every subset of s; one slice-OR over 2^(n-1) entries per
+    variable.
     """
     for b in range(n):
-        bit = 1 << b
-        for base in range(0, 1 << n, bit << 1):
-            for lo in range(base, base + bit):
-                if upward:
-                    values[lo] |= values[lo | bit]
-                else:
-                    values[lo | bit] |= values[lo]
+        pairs = values.reshape(-1, 2, 1 << b)
+        if upward:
+            pairs[:, 0] |= pairs[:, 1]
+        else:
+            pairs[:, 1] |= pairs[:, 0]
     return values
 
 
@@ -197,18 +198,20 @@ class MonomialIdeal:
         A mask lies in a proper ideal iff its entry is nonzero.
         """
         check_table_n(self.n)
-        table = [0] * (1 << self.n)
-        for g in self.gens:
-            table[g] = g
-        return zeta(table, self.n, upward=False)
+        table = np.zeros(1 << self.n, dtype=np.int64)
+        table[list(self.gens)] = self.gens
+        # a list: betti reads it entry by entry, which is slower on numpy
+        return zeta(table, self.n, upward=False).tolist()
 
-    def member_table(self) -> list[bool]:
-        """Per mask of all 2^n, whether it lies in the ideal."""
+    def member_table(self) -> np.ndarray:
+        """Per mask of all 2^n, whether it lies in the ideal (bool array)."""
+        check_table_n(self.n)
         if self.is_whole_ring or not self.gens:
             # every mask or none: no zeta pass needed
-            check_table_n(self.n)
-            return [self.is_whole_ring] * (1 << self.n)
-        return [lcm != 0 for lcm in self.lcm_table()]
+            return np.full(1 << self.n, self.is_whole_ring)
+        table = np.zeros(1 << self.n, dtype=bool)
+        table[list(self.gens)] = True
+        return zeta(table, self.n, upward=False)
 
     # -- operations ---------------------------------------------------
 

@@ -29,8 +29,8 @@ from math import comb
 
 import numpy as np
 
-from .ideals import (MonomialIdeal, bits, check_table_n, divides, monomial,
-                     monomial_vars, subsets, zeta)
+from .ideals import (MAX_AMBIENT, MonomialIdeal, bits, check_table_n, divides,
+                     monomial, monomial_vars, subsets, zeta)
 
 
 class BudgetExceeded(Exception):
@@ -41,7 +41,7 @@ def size_lex_key(images):
     """The (size, lex) order of masks under a variable labelling, as one int.
 
     ``images[i]`` is the new label (1..n) of variable i + 1.  Ordering masks
-    of at most 16 bits by the returned key orders them as
+    of at most MAX_AMBIENT = 24 bits by the returned key orders them as
     ``(s.bit_count(), monomial_vars(VarPermutation(images).apply(s)))``
     does.  Bit i adds 2^n - 2^(n - images[i]): the 2^n terms count the
     size, and of two masks of one size the one whose image holds the
@@ -50,13 +50,15 @@ def size_lex_key(images):
     per byte.
     """
     n = len(images)
-    weight = [(1 << n) - (1 << (n - v)) for v in images] + [0] * 16
-    lo, hi = [0] * 256, [0] * 256
+    weight = [(1 << n) - (1 << (n - v)) for v in images] + [0] * MAX_AMBIENT
+    lo, mid, hi = [0] * 256, [0] * 256, [0] * 256
     for b in range(1, 256):
         low = (b & -b).bit_length() - 1
-        lo[b] = lo[b & (b - 1)] + weight[low]
-        hi[b] = hi[b & (b - 1)] + weight[8 + low]
-    return lambda s: lo[s & 255] + hi[s >> 8]
+        rest = b & (b - 1)
+        lo[b] = lo[rest] + weight[low]
+        mid[b] = mid[rest] + weight[8 + low]
+        hi[b] = hi[rest] + weight[16 + low]
+    return lambda s: lo[s & 255] + mid[s >> 8 & 255] + hi[s >> 16]
 
 
 class SearchIndex:
@@ -72,27 +74,54 @@ class SearchIndex:
     outside the poset with elements both above and below it would break
     that, so such a set, or one holding a mask outside 0..2^n - 1, is
     refused with ValueError.
+
+    ``up`` and ``down`` come from a subset zeta transform restricted to the
+    poset: per variable b, ``down[s] |= down[s - b]`` and
+    ``up[s - b] |= up[s]`` over the pairs (s - b, s) with both ends in it.
+    By convexity every mask on the zeta's path between two elements is an
+    element too, so the result is exact, and the tables over all 2^n masks
+    hold one int64 or bool per mask, not a bitmap.
     """
 
     def __init__(self, poset: "CharPoset"):
         self.n = n = poset.n
         check_table_n(n)
+        # before any numpy indexing, where mask -1 would alias mask 2^n - 1
         if min(poset.elements, default=0) < 0 or max(poset.elements, default=0) >> n:
             raise ValueError(f"poset element outside the masks of {n} variables")
         self.order = sorted(poset.elements, key=size_lex_key(range(1, n + 1)))
         self.index = {s: i for i, s in enumerate(self.order)}
-        self.levels = [0] * (n + 1)
-        own = [0] * (1 << n)
-        for i, s in enumerate(self.order):
-            self.levels[s.bit_count()] |= 1 << i
-            own[s] = 1 << i
-        above = zeta(own[:], n, upward=True)
-        below = zeta(own, n, upward=False)
-        if sum(1 for a, b in zip(above, below) if a and b) != len(self.order):
+        size = len(self.order)
+        masks = np.array(self.order, dtype=np.int64)
+        inside = np.zeros(1 << n, dtype=bool)
+        inside[masks] = True
+        above_any = zeta(inside.copy(), n, upward=True)
+        if np.count_nonzero(above_any & zeta(inside, n, upward=False)) != size:
             raise ValueError("poset is not convex: a mask outside it lies "
                              "between two of its elements")
-        self.up = [above[s] for s in self.order]
-        self.down = [below[s] for s in self.order]
+        self.levels = [0] * (n + 1)
+        start = 0
+        for l, run in itertools.groupby(self.order, key=int.bit_count):
+            end = start + sum(1 for _ in run)
+            self.levels[l] = (1 << end) - (1 << start)
+            start = end
+        pos = np.full(1 << n, -1, dtype=np.int64)
+        pos[masks] = np.arange(size)
+        # while it is built, up[i] carries bit `size` as well, so every OR
+        # makes an int of its final length and the allocator reuses the one
+        # it frees; ints that grow pass by pass fragment the heap
+        top = 1 << size
+        self.up = up = [top | 1 << i for i in range(size)]
+        self.down = down = [1 << i for i in range(size)]
+        for b in range(n):
+            hi = np.flatnonzero(masks >> b & 1)
+            lo = pos[masks[hi] ^ (1 << b)]
+            pair = lo >= 0
+            for s, t in zip(lo[pair].tolist(), hi[pair].tolist()):
+                down[t] |= down[s]
+                up[s] |= up[t]
+        for i in range(size):
+            up[i] ^= top
 
 
 @dataclass(frozen=True)
@@ -188,9 +217,7 @@ def build_char_poset(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal) -> CharPose
         if not j_ideal.contains(g):
             raise ValueError("I is not contained in J")
     in_j, in_i = j_ideal.member_table(), i_ideal.member_table()
-    elems = frozenset(s for s, (j, i) in enumerate(zip(in_j, in_i))
-                      if j and not i)
-    return CharPoset(j_ideal.n, elems)
+    return CharPoset(j_ideal.n, frozenset(np.flatnonzero(in_j & ~in_i).tolist()))
 
 
 def luby(i: int) -> int:

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -187,19 +188,21 @@ def test_bits_and_subsets_match_brute_force():
 
 def test_zeta_matches_brute_force():
     rng = random.Random(3)
-    n = 6
-    values = [rng.getrandbits(8) if rng.random() < 0.3 else 0
-              for _ in range(1 << n)]
-    up = zeta(list(values), n, upward=True)
-    down = zeta(list(values), n, upward=False)
-    for s in range(1 << n):
-        above = below = 0
-        for t in range(1 << n):
-            if divides(s, t):
-                above |= values[t]
-            if divides(t, s):
-                below |= values[t]
-        assert (up[s], down[s]) == (above, below)
+    for n in range(1, 9):
+        ints = np.array([rng.getrandbits(8) if rng.random() < 0.3 else 0
+                         for _ in range(1 << n)], dtype=np.int64)
+        for values in (ints, ints % 3 == 0):
+            up = zeta(values.copy(), n, upward=True)
+            down = zeta(values.copy(), n, upward=False)
+            assert up.dtype == down.dtype == values.dtype
+            for s in range(1 << n):
+                above = below = values.dtype.type(0)
+                for t in range(1 << n):
+                    if divides(s, t):
+                        above |= values[t]
+                    if divides(t, s):
+                        below |= values[t]
+                assert (up[s], down[s]) == (above, below), (n, values.dtype, s)
 
 
 def _table_ideals():
@@ -250,6 +253,6 @@ def test_zero_ideal_table_skips_the_zeta_and_keeps_the_cap(monkeypatch):
 
     monkeypatch.setattr("pathdepth.ideals.zeta", no_zeta)
     for n, table in wanted.items():
-        assert MonomialIdeal.zero(n).member_table() == table == [False] * (1 << n)
+        assert MonomialIdeal.zero(n).member_table().tolist() == table == [False] * (1 << n)
     with pytest.raises(ValueError, match=f"cap {TABLE_MAX_N}"):
         MonomialIdeal.zero(TABLE_MAX_N + 1).member_table()

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
                               divides, monomial, monomial_vars)
-from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval,
+from pathdepth.oracle import family_module
+from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval, SearchIndex,
                               StanleyCertificate, _CoverSearch, bit_planes,
                               build_char_poset, certificate_from, least, luby,
                               sdepth_at_least, size_lex_key, stanley_depth,
@@ -570,7 +571,60 @@ def test_search_index_matches_pair_scan():
                 for s in low]
 
 
-@pytest.mark.parametrize("elements", [{-1, 1}, {9, 1}])
+def _list_zeta(values, n, upward):
+    """The subset zeta transform as a triple loop over all 2^n masks."""
+    for b in range(n):
+        bit = 1 << b
+        for base in range(0, 1 << n, bit << 1):
+            for lo in range(base, base + bit):
+                if upward:
+                    values[lo] |= values[lo | bit]
+                else:
+                    values[lo | bit] |= values[lo]
+    return values
+
+
+def _full_lattice_index(poset):
+    """Reference: order, index, levels, up and down from zeta transforms
+    over all 2^n masks that carry the elements' bitmaps."""
+    n = poset.n
+    order = sorted(poset.elements, key=lambda s: (s.bit_count(), monomial_vars(s)))
+    levels = [0] * (n + 1)
+    own = [0] * (1 << n)
+    for a, s in enumerate(order):
+        levels[s.bit_count()] |= 1 << a
+        own[s] = 1 << a
+    above = _list_zeta(own[:], n, upward=True)
+    below = _list_zeta(own, n, upward=False)
+    return (order, {s: a for a, s in enumerate(order)}, levels,
+            [above[s] for s in order], [below[s] for s in order])
+
+
+@pytest.mark.parametrize("family", ["j2", "j3", "jn2", "max"])
+def test_search_index_matches_the_full_lattice_zeta(family):
+    for n in range(8, 13):
+        poset = build_char_poset(*family_module(family, n))
+        ix = poset.search_index
+        assert (ix.order, ix.index, ix.levels, ix.up, ix.down) == \
+            _full_lattice_index(poset), (family, n)
+
+
+def test_search_index_keeps_no_bitmap_per_mask():
+    # cyc:14:3 has 5071 elements in 2^14 masks: two tables of bitmaps over
+    # all masks, one per direction, peaked near 11.8 MB; up and down
+    # themselves take about 6 MB
+    poset = build_char_poset(MonomialIdeal.whole_ring(14), cycle_ideal(14, 3))
+    tracemalloc.start()
+    try:
+        ix = SearchIndex(poset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ix.order) == 5071
+    assert peak < 9_000_000
+
+
+@pytest.mark.parametrize("elements", [{-1, 1}, {9, 1}, {-1}])
 def test_masks_outside_the_ambient_are_refused(elements):
     # -1 would alias mask 7 in the 2^3 tables, and 9 would index past them
     poset = CharPoset(3, frozenset(elements))
@@ -578,7 +632,7 @@ def test_masks_outside_the_ambient_are_refused(elements):
         poset.maximal_elements()
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 10, 16])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 10, 16, 17, 24])
 def test_size_lex_key_orders_like_the_tuple_key(n):
     rng = random.Random(n)
     masks = list(range(1 << n)) if n <= 10 else rng.sample(range(1 << n), 3000)
@@ -590,6 +644,10 @@ def test_size_lex_key_orders_like_the_tuple_key(n):
         want = sorted(masks, key=lambda s: (s.bit_count(),
                                             monomial_vars(perm.apply(s))))
         assert sorted(masks, key=key) == want, a
+        # the key itself is the documented sum over bits
+        assert all(key(s) == sum((1 << n) - (1 << (n - images[i]))
+                                 for i in range(n) if s >> i & 1)
+                   for s in masks[:300])
 
 
 def _certificate_by_members(poset, intervals, k):
