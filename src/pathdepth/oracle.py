@@ -118,7 +118,7 @@ FAMILIES: dict[str, Family] = {
                   lambda n, m, q: Expectation(n - 3, n - 2)),
     "prop1": Family("J_{n,3}/I_{n,3}", ("sdepth",), 4, 4, lambda n: None,
                     lambda n, m: (cycle_ideal(n, 3), line_ideal(n, 3)),
-                    lambda n, m, q: _exact(n + 1 - n // 4 - ceil_div(n, 4))),
+                    lambda n, m, q: _exact(phi(n) + 1)),
     "max": Family("the maximal ideal", ("sdepth",), 1, 2, lambda n: None,
                   lambda n, m: (line_ideal(n, 1), MonomialIdeal.zero(n)),
                   lambda n, m, q: _exact(ceil_div(n, 2))),

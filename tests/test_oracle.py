@@ -9,6 +9,7 @@ from pathdepth.ideals import TABLE_MAX_N
 from pathdepth.oracle import (FAMILIES, MATCH, SKIPPED, VIOLATION,
                               WITHIN_BOUNDS, Expectation, compute_row,
                               expectation, family_module, phi, verify_suite)
+from pathdepth.sdepth import SdepthResult, StanleyCertificate
 
 
 def test_phi_values():
@@ -84,6 +85,28 @@ def test_compute_row_match_and_bounds():
     row = compute_row("j3", 5, 3, "sdepth")
     assert row.status == WITHIN_BOUNDS
     assert "exact value 2" in row.note
+
+
+def test_prop1_closed_form_is_pinned():
+    # the stated value, n + 1 - floor(n/4) - ceil(n/4), written out on its own
+    for n in range(4, 201):
+        v = n + 1 - n // 4 - -(-n // 4)
+        assert expectation("prop1", n, "sdepth") == Expectation(v, v), n
+
+
+@pytest.mark.parametrize("computed", [1, 4])
+def test_compute_row_value_outside_bounds_is_a_violation(monkeypatch, computed):
+    # j3 at n = 5 states both quantities as the bounds [2, 3]
+    monkeypatch.setattr("pathdepth.oracle.depth_quotient",
+                        lambda i_ideal, field_choice: computed)
+    monkeypatch.setattr(
+        "pathdepth.oracle.stanley_depth",
+        lambda j, i, node_budget=None: SdepthResult(
+            computed, StanleyCertificate([], computed), True, 1))
+    for quantity in ("depth", "sdepth"):
+        row = compute_row("j3", 5, 3, quantity)
+        assert (row.expected_lo, row.expected_hi) == (2, 3)
+        assert (row.computed, row.status, row.note) == (computed, VIOLATION, "")
 
 
 def test_compute_row_budget_skip():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,9 @@ from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
 from pathdepth.oracle import family_module
 from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval, SearchIndex,
                               StanleyCertificate, _CoverSearch, bit_planes,
-                              build_char_poset, certificate_from, least, luby,
-                              sdepth_at_least, size_lex_key, stanley_depth,
+                              build_char_poset, certificate_from,
+                              forced_intervals, least, luby, sdepth_at_least,
+                              size_lex_key, stanley_depth,
                               validate_decomposition)
 
 
@@ -344,11 +346,30 @@ def test_attempt_is_the_search_on_the_relabelled_poset():
                                for iv in want], (case, k)
 
 
+def _state_forced_total(search, uncovered):
+    """Reference: the level-counting system solved on the uncovered counts of
+    one state, the forced number of intervals per lower size summed, or None
+    if a forced count is negative or above its level's count, or the total
+    is above the number of uncovered size-k elements."""
+    k = search.k
+    counts = [(level & uncovered).bit_count() for level in search.levels]
+    forced = []
+    for l in range(k):
+        need = counts[l] - sum(f * comb(k - a, l - a)
+                               for a, f in enumerate(forced))
+        if need < 0 or need > counts[l]:
+            return None
+        forced.append(need)
+    return sum(forced) if sum(forced) <= counts[k] else None
+
+
 def test_branch_pick_matches_a_rescan(monkeypatch):
     # the live-top planes kept up by placing and undoing intervals must give,
     # at every visited node, the dead-end verdict and the branch of a full
     # re-scan: fewest live tops in the lowest live level, ties to the lowest
-    # rank
+    # rank.  The engine solves the counting system once per decision, so
+    # this also checks that the system solved at each state never refutes
+    # one below the root
     visit, visited = _CoverSearch._visit, []
 
     def rescanned(self, uncovered, walked):
@@ -356,7 +377,7 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
         live = {i: (self.ix.up[i] & tops & uncovered).bit_count()
                 for i in range(self.n_low) if uncovered >> i & 1}
         gives_up = (uncovered in self.failed
-                    or self._forced_intervals(uncovered) is None)
+                    or _state_forced_total(self, uncovered) is None)
         # walked is the bitmap of the elements below the last top placed
         assert walked & ~uncovered == 0
         got = visit(self, uncovered, walked)
@@ -387,6 +408,48 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
                 except BudgetExceeded:
                     pass
     assert len(visited) > 20_000 and visited.count(-1) > 100
+
+
+def test_forced_intervals_solve_the_level_counts():
+    # the maximal ideal at n = 4, levels 0, 4, 6, 4: at k = 2 the four
+    # variables are the lower ends; at k = 3 they would cover 8 of the 6 pairs
+    assert forced_intervals([0, 4, 6], 2) == [0, 4]
+    assert forced_intervals([0, 4, 6, 4], 3) is None
+    # S at n = 3 and k = 2: the interval from the empty set covers two of
+    # the three singletons, the third needs one more; 2 of the 3 pairs are tops
+    assert forced_intervals([1, 3, 3], 2) == [1, 1]
+    # too many tops: 3 forced intervals for 2 elements of size k
+    assert forced_intervals([0, 3, 2], 2) is None
+    assert forced_intervals([5], 0) == []
+
+
+def test_covers_place_the_forced_intervals_per_lower_size():
+    # the counting system is triangular, so it has one solution, and every
+    # cover of a decision places exactly forced[a] intervals with a lower
+    # end of size a; at the root, forced agrees with the per-state solve
+    covers = 0
+    for j, i in _random_pairs(40, 14) + [NAMED_PINS["cyc:9:3"][:2]]:
+        poset = build_char_poset(j, i)
+        root = (1 << len(poset.elements)) - 1
+        for k in range(1, j.n + 1):
+            search = _CoverSearch(poset.search_index, k)
+            total = _state_forced_total(search, root)
+            assert total == (None if search.forced is None
+                             else sum(search.forced)), k
+            cover = search.run()
+            if cover is None:
+                continue
+            assert [sum(iv.lower.bit_count() == a for iv in cover)
+                    for a in range(k)] == search.forced, k
+            covers += 1
+    assert covers > 100
+
+
+def test_sdepth_at_least_refuses_k_outside_zero_to_n():
+    poset = build_char_poset(MonomialIdeal.whole_ring(5), cycle_ideal(5, 3))
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match=f"k={k} outside 0..5"):
+            sdepth_at_least(poset, k)
 
 
 def test_attempts_start_from_the_decision_planes(monkeypatch):
