@@ -113,10 +113,16 @@ def cmd_betti(args) -> int:
     return 0
 
 
-def _run_sdepth(args):
+def _load_nonzero_module(args) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """The (J, I) pair of sdepth and decomp, which refuse J = I."""
     j_ideal, i_ideal = _load_module(args)
     if j_ideal == i_ideal:
         raise UsageError("J = I gives the zero module")
+    return j_ideal, i_ideal
+
+
+def _run_sdepth(args):
+    j_ideal, i_ideal = _load_nonzero_module(args)
     return stanley_depth(j_ideal, i_ideal, node_budget=args.budget_nodes)
 
 
@@ -139,7 +145,7 @@ def cmd_sdepth(args) -> int:
 
 def cmd_decomp(args) -> int:
     if args.check:
-        j_ideal, i_ideal = _load_module(args)
+        j_ideal, i_ideal = _load_nonzero_module(args)
         with open(args.check) as fh:
             cert = StanleyCertificate.from_dict(json.load(fh), j_ideal.n)
         result = validate_decomposition(cert, j_ideal, i_ideal)

@@ -49,19 +49,15 @@ def subsets(mask: int):
         sub = (sub - 1) & mask
 
 
-def zeta(values: np.ndarray, n: int, upward: bool) -> np.ndarray:
+def zeta(values: np.ndarray, n: int) -> np.ndarray:
     """Subset zeta transform of a table over all 2^n masks, in place.
 
-    Afterwards entry s is the OR of the old entries of every superset of s
-    (upward) or every subset of s; one slice-OR over 2^(n-1) entries per
-    variable.
+    Afterwards entry s is the OR of the old entries of every subset of s;
+    one slice-OR over 2^(n-1) entries per variable.
     """
     for b in range(n):
         pairs = values.reshape(-1, 2, 1 << b)
-        if upward:
-            pairs[:, 0] |= pairs[:, 1]
-        else:
-            pairs[:, 1] |= pairs[:, 0]
+        pairs[:, 1] |= pairs[:, 0]
     return values
 
 
@@ -201,7 +197,7 @@ class MonomialIdeal:
         table = np.zeros(1 << self.n, dtype=np.int64)
         table[list(self.gens)] = self.gens
         # a list: betti reads it entry by entry, which is slower on numpy
-        return zeta(table, self.n, upward=False).tolist()
+        return zeta(table, self.n).tolist()
 
     def member_table(self) -> np.ndarray:
         """Per mask of all 2^n, whether it lies in the ideal (bool array)."""
@@ -211,7 +207,7 @@ class MonomialIdeal:
             return np.full(1 << self.n, self.is_whole_ring)
         table = np.zeros(1 << self.n, dtype=bool)
         table[list(self.gens)] = True
-        return zeta(table, self.n, upward=False)
+        return zeta(table, self.n)
 
     # -- operations ---------------------------------------------------
 

@@ -29,82 +29,63 @@ from math import comb
 
 import numpy as np
 
-from .ideals import (MAX_AMBIENT, MonomialIdeal, bits, check_table_n, divides,
-                     monomial, monomial_vars, subsets, zeta)
+from .ideals import (MonomialIdeal, bits, check_table_n, divides, monomial,
+                     monomial_vars, subsets)
 
 
 class BudgetExceeded(Exception):
     """Raised internally when the node budget runs out."""
 
 
-def size_lex_key(images):
-    """The (size, lex) order of masks under a variable labelling, as one int.
+def size_lex_keys(masks, images) -> np.ndarray:
+    """The (size, lex) order of masks under a variable labelling, as int64 keys.
 
     ``images[i]`` is the new label (1..n) of variable i + 1.  Ordering masks
-    of at most MAX_AMBIENT = 24 bits by the returned key orders them as
+    of at most MAX_AMBIENT = 24 bits by the returned keys orders them as
     ``(s.bit_count(), monomial_vars(VarPermutation(images).apply(s)))``
     does.  Bit i adds 2^n - 2^(n - images[i]): the 2^n terms count the
     size, and of two masks of one size the one whose image holds the
     smaller label at their first difference subtracts the larger power of
-    two.  The key is a sum over bits, so it is read from one 256-entry table
-    per byte.
+    two.  One shift-and-multiply pass per variable.
     """
     n = len(images)
-    weight = [(1 << n) - (1 << (n - v)) for v in images] + [0] * MAX_AMBIENT
-    lo, mid, hi = [0] * 256, [0] * 256, [0] * 256
-    for b in range(1, 256):
-        low = (b & -b).bit_length() - 1
-        rest = b & (b - 1)
-        lo[b] = lo[rest] + weight[low]
-        mid[b] = mid[rest] + weight[8 + low]
-        hi[b] = hi[rest] + weight[16 + low]
-    return lambda s: lo[s & 255] + mid[s >> 8 & 255] + hi[s >> 16]
+    masks = np.asarray(masks, dtype=np.int64)
+    keys = np.zeros(len(masks), dtype=np.int64)
+    for i, v in enumerate(images):
+        keys += (masks >> i & 1) * ((1 << n) - (1 << (n - v)))
+    return keys
 
 
 class SearchIndex:
     """Everything the cover search needs of a poset that does not depend on k.
 
     Elements are numbered in (size, lex) order, so each size is a run of
-    consecutive numbers.  ``up[i]`` and ``down[i]`` are bitmaps over those
-    numbers of the elements above and below element i (itself included),
-    ``levels[l]`` is the bitmap of the elements of size l.
+    consecutive numbers; ``order`` lists them and ``masks`` is the same
+    list as an int64 array.  ``up[i]`` and ``down[i]`` are bitmaps over
+    those numbers of the elements above and below element i (itself
+    included), ``levels[l]`` is the bitmap of the elements of size l.
 
-    The poset must be convex, as J \\ I always is (an up-set meets a
-    down-set): then an interval lies in the poset iff its ends do.  A mask
-    outside the poset with elements both above and below it would break
-    that, so such a set, or one holding a mask outside 0..2^n - 1, is
-    refused with ValueError.
-
-    ``up`` and ``down`` come from a subset zeta transform restricted to the
-    poset: per variable b, ``down[s] |= down[s - b]`` and
-    ``up[s - b] |= up[s]`` over the pairs (s - b, s) with both ends in it.
-    By convexity every mask on the zeta's path between two elements is an
-    element too, so the result is exact, and the tables over all 2^n masks
-    hold one int64 or bool per mask, not a bitmap.
+    A CharPoset is J \\ I, which is convex (an up-set meets a down-set), so
+    an interval lies in the poset iff its ends do.  ``up`` and ``down``
+    come from a subset zeta transform restricted to the poset: per
+    variable b, ``down[s] |= down[s - b]`` and ``up[s - b] |= up[s]`` over
+    the pairs (s - b, s) with both ends in it.  By convexity every mask on
+    the zeta's path between two elements is an element too, so the result
+    is exact, and the one table over all 2^n masks holds an int64 per
+    mask, not a bitmap.
     """
 
     def __init__(self, poset: "CharPoset"):
         self.n = n = poset.n
-        check_table_n(n)
-        # before any numpy indexing, where mask -1 would alias mask 2^n - 1
-        if min(poset.elements, default=0) < 0 or max(poset.elements, default=0) >> n:
-            raise ValueError(f"poset element outside the masks of {n} variables")
-        self.order = sorted(poset.elements, key=size_lex_key(range(1, n + 1)))
+        keys = size_lex_keys(poset.masks, range(1, n + 1))
+        self.masks = masks = poset.masks[np.argsort(keys)]
+        self.order = masks.tolist()
         self.index = {s: i for i, s in enumerate(self.order)}
         size = len(self.order)
-        masks = np.array(self.order, dtype=np.int64)
-        inside = np.zeros(1 << n, dtype=bool)
-        inside[masks] = True
-        above_any = zeta(inside.copy(), n, upward=True)
-        if np.count_nonzero(above_any & zeta(inside, n, upward=False)) != size:
-            raise ValueError("poset is not convex: a mask outside it lies "
-                             "between two of its elements")
-        self.levels = [0] * (n + 1)
-        start = 0
-        for l, run in itertools.groupby(self.order, key=int.bit_count):
-            end = start + sum(1 for _ in run)
-            self.levels[l] = (1 << end) - (1 << start)
-            start = end
+        # a key's 2^n terms count its mask's size: size = ceil(key / 2^n)
+        counts = np.bincount(-(-keys >> n), minlength=n + 1).tolist()
+        ends = np.cumsum(counts).tolist()
+        self.levels = [(1 << e) - (1 << (e - c)) for e, c in zip(ends, counts)]
         pos = np.full(1 << n, -1, dtype=np.int64)
         pos[masks] = np.arange(size)
         # while it is built, up[i] carries bit `size` as well, so every OR
@@ -124,12 +105,25 @@ class SearchIndex:
             up[i] ^= top
 
 
-@dataclass(frozen=True)
 class CharPoset:
-    """Subsets σ with x^σ ∈ J \\ I, as bitmasks, ordered by inclusion."""
+    """Subsets σ with x^σ ∈ J \\ I, as bitmasks, ordered by inclusion.
 
-    n: int
-    elements: frozenset[int]
+    Made only from a pair I ⊆ J with I ≠ J (else ValueError), so it is
+    never empty and always convex.  ``elements`` holds the masks as a
+    frozenset, ``masks`` as an ascending int64 array.
+    """
+
+    def __init__(self, j_ideal: MonomialIdeal, i_ideal: MonomialIdeal):
+        j_ideal.same_ambient(i_ideal)
+        for g in i_ideal.gens:
+            if not j_ideal.contains(g):
+                raise ValueError("I is not contained in J")
+        self.n = j_ideal.n
+        in_j, in_i = j_ideal.member_table(), i_ideal.member_table()
+        self.masks = np.flatnonzero(in_j & ~in_i).astype(np.int64, copy=False)
+        if not len(self.masks):
+            raise ValueError("J/I is the zero module")
+        self.elements = frozenset(self.masks.tolist())
 
     @cached_property
     def search_index(self) -> SearchIndex:
@@ -212,12 +206,7 @@ class SdepthResult:
 
 def build_char_poset(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal) -> CharPoset:
     """Characteristic poset of the pair I ⊆ J."""
-    j_ideal.same_ambient(i_ideal)
-    for g in i_ideal.gens:
-        if not j_ideal.contains(g):
-            raise ValueError("I is not contained in J")
-    in_j, in_i = j_ideal.member_table(), i_ideal.member_table()
-    return CharPoset(j_ideal.n, frozenset(np.flatnonzero(in_j & ~in_i).tolist()))
+    return CharPoset(j_ideal, i_ideal)
 
 
 def luby(i: int) -> int:
@@ -330,13 +319,12 @@ class _CoverSearch:
     def _ranks(self, attempt: int):
         """Per element of size <= k, its rank 0, 1, ... in the order of the
         labelling of ``attempt``: its (size, lex) number for attempt 0, its
-        size_lex_key position under the shuffled labels after that."""
+        size_lex_keys position under the shuffled labels after that."""
         if attempt == 0:
             return range(self.n_ranked)
         images = list(range(1, self.ix.n + 1))
         random.Random(attempt).shuffle(images)
-        order = self.ix.order[:self.n_ranked]
-        keys = np.fromiter(map(size_lex_key(images), order), dtype=np.int64)
+        keys = size_lex_keys(self.ix.masks[:self.n_ranked], images)
         rank = np.empty_like(keys)
         rank[np.argsort(keys)] = np.arange(len(keys))
         return rank
@@ -479,6 +467,11 @@ def certificate_from(poset: CharPoset, intervals: list[Interval],
     return StanleyCertificate(all_ivs, claimed)
 
 
+def _check_budget(budget) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget {budget} is negative")
+
+
 def sdepth_at_least(poset: CharPoset, k: int, budget=None):
     """A cover of every element of size < k by intervals with tops of size
     k, or None if there is none.
@@ -490,6 +483,7 @@ def sdepth_at_least(poset: CharPoset, k: int, budget=None):
     """
     if k < 0 or k > poset.n:
         raise ValueError(f"k={k} outside 0..{poset.n}")
+    _check_budget(budget)
     search = _CoverSearch(poset.search_index, k)
     return search.run(budget), search.nodes
 
@@ -497,9 +491,8 @@ def sdepth_at_least(poset: CharPoset, k: int, budget=None):
 def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
                   node_budget=None) -> SdepthResult:
     """Exact Stanley depth of J/I with a witnessing interval partition."""
+    _check_budget(node_budget)
     poset = build_char_poset(j_ideal, i_ideal)
-    if not poset.elements:
-        raise ValueError("J/I is the zero module (I = J)")
     upper_bound = min(s.bit_count() for s in poset.maximal_elements())
     total_nodes, exact = 0, True
     best_k, best_cover = poset.search_index.order[0].bit_count(), []

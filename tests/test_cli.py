@@ -265,6 +265,35 @@ def test_depth_of_zero_module_rejected(capsys, tmp_path):
         "error: Betti table of the zero module S/S is undefined")
 
 
+def test_zero_module_certificate_is_refused(tmp_path, capsys):
+    # J = S and I = S: there is no poset to partition, so even the empty
+    # certificate is refused, by every sdepth command alike
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"n": 3, "gens": [[]]}))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"sdepth": 99, "intervals": []}))
+    for argv in (["sdepth"], ["decomp"], ["decomp", "--check", str(cert)]):
+        assert run_command([*argv, "--ideal-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: J = I gives the zero module"
+
+
+VERIFY_ALL_N10 = Path(__file__).with_name("data") / "verify_all_n10.json"
+
+
+def test_verify_output_is_unchanged(capsys):
+    # every row of `verify --suite all --n-max 10` as recorded, apart from
+    # its wall time: search or index changes must keep each answer, status
+    # and note
+    assert run_command(["verify", "--suite", "all", "--n-max", "10",
+                        "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    for row in rows:
+        del row["elapsed"]
+    assert rows == json.loads(VERIFY_ALL_N10.read_text())
+
+
 def _python_m_pathdepth(*argv, timeout):
     src = str(Path(pathdepth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -7,6 +7,7 @@ import tracemalloc
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval, SearchIndex,
                               StanleyCertificate, _CoverSearch, bit_planes,
                               build_char_poset, certificate_from,
                               forced_intervals, least, luby, sdepth_at_least,
-                              size_lex_key, stanley_depth,
+                              size_lex_keys, stanley_depth,
                               validate_decomposition)
 
 
@@ -72,8 +73,24 @@ def test_sdepth_maximal_ideal():
 
 
 def test_sdepth_zero_module_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero module"):
         stanley_depth(line_ideal(4, 2), line_ideal(4, 2))
+    result = validate_decomposition(StanleyCertificate([], 99),
+                                    line_ideal(4, 2), line_ideal(4, 2))
+    assert not result
+    assert result.reason == "bad module pair: J/I is the zero module"
+
+
+def test_negative_budgets_are_refused():
+    # a budget below zero is a stop that the node count never meets: it
+    # would run the search to the end and call the result exact
+    j, i = MonomialIdeal.whole_ring(9), cycle_ideal(9, 3)
+    with pytest.raises(ValueError, match="negative"):
+        stanley_depth(j, i, node_budget=-1)
+    with pytest.raises(ValueError, match="negative"):
+        sdepth_at_least(build_char_poset(j, i), 5, budget=-1)
+    res = stanley_depth(j, i, node_budget=0)
+    assert (res.exact, res.nodes) == (False, 0)
 
 
 def test_sdepth_at_least_monotone():
@@ -600,18 +617,20 @@ def _is_convex(elements, n):
 
 def test_search_index_matches_pair_scan():
     rng = random.Random(11)
-    posets = [build_char_poset(j, i) for j, i in _random_pairs(10, 5)]
-    # arbitrary element sets too: the index must refuse the ones that are
-    # not convex, since it reads intervals off their ends
-    for _ in range(20):
+    pairs = _random_pairs(10, 5)
+    # small pairs of any shape too: every convex set is some J \ I (J its
+    # up-closure, I that minus the set), so these stand for them all
+    while len(pairs) < 30:
         n = rng.randint(1, 6)
-        posets.append(CharPoset(n, frozenset(
-            s for s in range(1 << n) if rng.random() < 0.5)))
-    for poset in posets:
-        if not _is_convex(poset.elements, poset.n):
-            with pytest.raises(ValueError, match="not convex"):
-                poset.search_index
-            continue
+        j = MonomialIdeal(n, tuple(rng.randrange(1 << n)
+                                   for _ in range(rng.randint(1, 3))))
+        i = MonomialIdeal(n, tuple(rng.choice(j.gens) | rng.randrange(1 << n)
+                                   for _ in range(rng.randint(0, 4))))
+        if i != j:
+            pairs.append((j, i))
+    for j, i in pairs:
+        poset = build_char_poset(j, i)
+        assert _is_convex(poset.elements, poset.n)
         ix = poset.search_index
         assert sorted(ix.order) == sorted(poset.elements)
         for a, s in enumerate(ix.order):
@@ -687,14 +706,6 @@ def test_search_index_keeps_no_bitmap_per_mask():
     assert peak < 9_000_000
 
 
-@pytest.mark.parametrize("elements", [{-1, 1}, {9, 1}, {-1}])
-def test_masks_outside_the_ambient_are_refused(elements):
-    # -1 would alias mask 7 in the 2^3 tables, and 9 would index past them
-    poset = CharPoset(3, frozenset(elements))
-    with pytest.raises(ValueError, match="outside"):
-        poset.maximal_elements()
-
-
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 10, 16, 17, 24])
 def test_size_lex_key_orders_like_the_tuple_key(n):
     rng = random.Random(n)
@@ -703,14 +714,15 @@ def test_size_lex_key_orders_like_the_tuple_key(n):
         images = list(range(1, n + 1))
         random.Random(a).shuffle(images)
         perm = VarPermutation(tuple(images))
-        key = size_lex_key(images)
+        keys = size_lex_keys(masks, images)
+        assert keys.dtype == np.int64
         want = sorted(masks, key=lambda s: (s.bit_count(),
                                             monomial_vars(perm.apply(s))))
-        assert sorted(masks, key=key) == want, a
-        # the key itself is the documented sum over bits
-        assert all(key(s) == sum((1 << n) - (1 << (n - images[i]))
-                                 for i in range(n) if s >> i & 1)
-                   for s in masks[:300])
+        assert [masks[b] for b in np.argsort(keys)] == want, a
+        # each key is the documented sum over bits
+        assert all(key == sum((1 << n) - (1 << (n - images[i]))
+                              for i in range(n) if s >> i & 1)
+                   for s, key in zip(masks[:300], keys[:300].tolist()))
 
 
 def _certificate_by_members(poset, intervals, k):
