@@ -138,8 +138,8 @@ def cmd_sdepth(args) -> int:
     if args.certificate:
         with open(args.certificate, "w") as fh:
             fh.write(_certificate_json(res) + "\n")
-    _emit(str(res.sdepth) if res.exact else f"unknown >= {res.sdepth}",
-          args.out)
+    _emit(str(res.sdepth) if res.exact
+          else f"unknown >= {res.sdepth}, <= {res.upper}", args.out)
     return 0
 
 

@@ -243,7 +243,7 @@ def compute_row(family: str, n: int, m: int | None, quantity: str,
         if not res.exact:
             return Row(family, n, m, quantity, exp.lo, exp.hi, res.sdepth, SKIPPED,
                        time.perf_counter() - start,
-                       f"budget exhausted; sdepth >= {res.sdepth}")
+                       f"budget exhausted; {res.sdepth} <= sdepth <= {res.upper}")
         computed = res.sdepth
     if exp.exact:
         status = MATCH if computed == exp.lo else VIOLATION

@@ -195,13 +195,16 @@ class SdepthResult:
     """Outcome of a Stanley depth computation.
 
     When the node budget runs out the result is a lower bound only and
-    ``exact`` is False.  ``nodes`` counts every attempt of every decision.
+    ``exact`` is False; sdepth then lies in [``sdepth``, ``upper``], where
+    ``upper`` is the poset's upper_bound (None on a result built by hand).
+    ``nodes`` counts every attempt of every decision.
     """
 
     sdepth: int
     certificate: StanleyCertificate
     exact: bool
     nodes: int
+    upper: int | None = None
 
 
 def build_char_poset(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal) -> CharPoset:
@@ -488,16 +491,38 @@ def sdepth_at_least(poset: CharPoset, k: int, budget=None):
     return search.run(budget), search.nodes
 
 
+def upper_bound(poset: CharPoset) -> int:
+    """U >= sdepth, the smaller of two bounds: the size of the smallest
+    maximal element (Herzog, Vladoiu and Zheng 2009), and one less than the
+    least k at which forced_intervals rules out a cover from the level
+    counts alone (Biró, Howard, Keller, Trotter and Young 2010).  Both hold
+    for every k <= sdepth, since a partition with tops of size >= k cuts
+    into one with tops of size exactly k."""
+    maximal = min(s.bit_count() for s in poset.maximal_elements())
+    sizes = [level.bit_count() for level in poset.search_index.levels]
+    for k in range(1, maximal + 1):
+        if forced_intervals(sizes, k) is None:
+            return k - 1
+    return maximal
+
+
 def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
                   node_budget=None) -> SdepthResult:
-    """Exact Stanley depth of J/I with a witnessing interval partition."""
+    """Exact Stanley depth of J/I with a witnessing interval partition.
+
+    Decides k = U, U - 1, ... (U = upper_bound) down to the smallest element
+    size + 1 and stops at the first k with a cover, the only one made into a
+    certificate; if none has one, the all-singletons partition is exact.  A
+    budget caps the nodes of all decisions together.  A run it cuts has no
+    cover yet, so it returns the singletons, inexact: its lower bound is the
+    smallest element size, and sdepth lies between that and U.
+    """
     _check_budget(node_budget)
     poset = build_char_poset(j_ideal, i_ideal)
-    upper_bound = min(s.bit_count() for s in poset.maximal_elements())
+    upper = upper_bound(poset)
     total_nodes, exact = 0, True
     best_k, best_cover = poset.search_index.order[0].bit_count(), []
-    k = best_k + 1
-    while k <= upper_bound:
+    for k in range(upper, best_k, -1):
         remaining = None if node_budget is None else node_budget - total_nodes
         try:
             cover, nodes = sdepth_at_least(poset, k, budget=remaining)
@@ -505,12 +530,11 @@ def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
             total_nodes, exact = node_budget, False
             break
         total_nodes += nodes
-        if cover is None:
+        if cover is not None:
+            best_k, best_cover = k, cover
             break
-        best_k, best_cover = k, cover
-        k += 1
     return SdepthResult(best_k, certificate_from(poset, best_cover, best_k),
-                        exact, total_nodes)
+                        exact, total_nodes, upper)
 
 
 def validate_decomposition(cert: StanleyCertificate,

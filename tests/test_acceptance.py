@@ -14,7 +14,8 @@ from pathdepth.ideals import MonomialIdeal, VarPermutation, monomial
 from pathdepth.oracle import MATCH, expectation, phi, verify_suite
 from pathdepth.sdepth import (Interval, StanleyCertificate, build_char_poset,
                               certificate_from, sdepth_at_least,
-                              stanley_depth, validate_decomposition)
+                              stanley_depth, upper_bound,
+                              validate_decomposition)
 from pathdepth.towers import (check_exact_sequence_inequalities,
                               check_tower_identifications, displayed_l0_j3,
                               displayed_l1_j3, displayed_u1_j3,
@@ -187,8 +188,7 @@ def test_criterion_09_property_suites():
         assert cover is not None
         assert validate_decomposition(
             certificate_from(poset, cover, res.sdepth), j_ideal, i_ideal)
-        upper = min(bin(s).count("1") for s in poset.maximal_elements())
-        if res.sdepth < upper:
+        if res.sdepth < upper_bound(poset):
             refuted, _ = sdepth_at_least(poset, res.sdepth + 1)
             assert refuted is None, (j_ideal, i_ideal)
     # relabelling the variables never changes either invariant

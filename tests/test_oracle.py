@@ -112,7 +112,8 @@ def test_compute_row_value_outside_bounds_is_a_violation(monkeypatch, computed):
 def test_compute_row_budget_skip():
     row = compute_row("max", 7, None, "sdepth", node_budget=1)
     assert row.status == SKIPPED
-    assert "budget" in row.note
+    # the singletons' lower bound and upper_bound, ceil(7 / 2)
+    assert row.note == "budget exhausted; 1 <= sdepth <= 4"
 
 
 def test_verify_suite_j3_statuses():

@@ -15,11 +15,11 @@ from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
                               divides, monomial, monomial_vars)
 from pathdepth.oracle import family_module
-from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval, SearchIndex,
-                              StanleyCertificate, _CoverSearch, bit_planes,
-                              build_char_poset, certificate_from,
+from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval, SdepthResult,
+                              SearchIndex, StanleyCertificate, _CoverSearch,
+                              bit_planes, build_char_poset, certificate_from,
                               forced_intervals, least, luby, sdepth_at_least,
-                              size_lex_keys, stanley_depth,
+                              size_lex_keys, stanley_depth, upper_bound,
                               validate_decomposition)
 
 
@@ -240,7 +240,8 @@ def _random_pairs(count, seed):
 # (sdepth, nodes, sha256 prefix of the certificate JSON) of _random_pairs(20, 4),
 # recorded with the engine that enumerated every cube for each k and rescanned
 # every element at each node: faster set-up and nodes must keep the search
-# tree and the certificates exactly as they were
+# tree and the certificates exactly as they were.  The nodes are those of the
+# walk up over k that the engine made then, replayed by _bottom_up_depth
 RANDOM_PAIR_PINS = [
     (4, 24, '520991eb975b4594'),
     (3, 19, '697f76c3e9b4c345'),
@@ -273,24 +274,35 @@ NAMED_PINS = {
               "828e95d076e801b26e580e48bb14b47713063e539e002aeedd263d7a4fa9760c"),
 }
 
-# stanley_depth with its restarts, recorded when they were introduced;
-# max:9 settles every decision inside its first slice
+# the walk up with its restarts, recorded when they were introduced; max:9
+# settles every decision inside its first slice
 RESTARTED_PINS = {
     "cyc:9:3": (MonomialIdeal.whole_ring(9), cycle_ideal(9, 3), 5, 193,
                 "ce2849744ba537bc"),
     "max:9": NAMED_PINS["max:9"],
 }
 
+# stanley_depth's own node totals, which descend from upper_bound: on the
+# random pairs above, and on the named instances.  The decision that finds
+# the answer's cover is the one the walk up made, so sdepth and certificate
+# are the pins above
+TOP_DOWN_NODES = [6, 11, 14, 7, 9, 3, 7, 8, 7, 5,
+                  11, 11, 8, 5, 5, 21, 11, 8, 10, 17]
+TOP_DOWN_NAMED_NODES = {"cyc:9:3": 105, "max:9": 70}
+
 
 def _digest(cert):
     return hashlib.sha256(cert.to_json().encode()).hexdigest()
 
 
-def _assert_pinned_and_refuted(j, i, sdepth, nodes, digest):
-    res = stanley_depth(j, i)
+def _assert_pinned(res, sdepth, nodes, digest):
     assert res.exact
     assert (res.sdepth, res.nodes) == (sdepth, nodes)
     assert _digest(res.certificate).startswith(digest)
+
+
+def _assert_pinned_and_refuted(j, i, sdepth, nodes, digest):
+    _assert_pinned(stanley_depth(j, i), sdepth, nodes, digest)
     if sdepth < j.n:
         cover, _ = sdepth_at_least(build_char_poset(j, i), sdepth + 1)
         assert cover is None
@@ -303,12 +315,34 @@ def _live_tops(search):
     return [u & tops for u in search.ix.up[:search.n_low]]
 
 
-def _attempt_zero_depth(j, i):
-    """stanley_depth's walk over k, each decision one unbounded attempt 0."""
+def _bottom_up_depth(j, i, budget=None):
+    """The walk up over k that stanley_depth made before it descended from
+    upper_bound: decide k = smallest size + 1, + 2, ... until one fails or
+    the budget runs out, and certify the last cover found.  It needs no
+    upper bound: past the smallest maximal element, that element has no
+    top, so the decision fails at its root without a node."""
     poset = build_char_poset(j, i)
-    upper = min(s.bit_count() for s in poset.maximal_elements())
+    best, cover = poset.search_index.order[0].bit_count(), []
+    nodes, exact = 0, True
+    for k in range(best + 1, poset.n + 1):
+        remaining = None if budget is None else budget - nodes
+        try:
+            found, used = sdepth_at_least(poset, k, budget=remaining)
+        except BudgetExceeded:
+            nodes, exact = budget, False
+            break
+        nodes += used
+        if found is None:
+            break
+        best, cover = k, found
+    return SdepthResult(best, certificate_from(poset, cover, best), exact, nodes)
+
+
+def _attempt_zero_depth(j, i):
+    """The walk up of _bottom_up_depth, each decision one unbounded attempt 0."""
+    poset = build_char_poset(j, i)
     best, cert, nodes = min(s.bit_count() for s in poset.elements), None, 0
-    for k in range(best + 1, upper + 1):
+    for k in range(best + 1, poset.n + 1):
         search = _CoverSearch(poset.search_index, k)
         intervals = search.attempt(0) if all(_live_tops(search)) else None
         nodes += search.nodes
@@ -320,8 +354,10 @@ def _attempt_zero_depth(j, i):
 
 def test_search_tree_unchanged_on_random_pairs():
     pairs = _random_pairs(20, 4)
-    for (j, i), pin in zip(pairs, RANDOM_PAIR_PINS, strict=True):
-        _assert_pinned_and_refuted(j, i, *pin)
+    for (j, i), (sdepth, nodes, digest), top_down in zip(
+            pairs, RANDOM_PAIR_PINS, TOP_DOWN_NODES, strict=True):
+        _assert_pinned(_bottom_up_depth(j, i), sdepth, nodes, digest)
+        _assert_pinned_and_refuted(j, i, sdepth, top_down, digest)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_PINS))
@@ -334,7 +370,87 @@ def test_search_tree_unchanged_on_named_instances(name):
 
 @pytest.mark.parametrize("name", sorted(RESTARTED_PINS))
 def test_restarted_search_on_named_instances(name):
-    _assert_pinned_and_refuted(*RESTARTED_PINS[name])
+    j, i, sdepth, nodes, digest = RESTARTED_PINS[name]
+    _assert_pinned(_bottom_up_depth(j, i), sdepth, nodes, digest)
+    _assert_pinned_and_refuted(j, i, sdepth, TOP_DOWN_NAMED_NODES[name], digest)
+
+
+def _seeded_pairs():
+    return [pair for seed in (4, 8, 12) for pair in _random_pairs(200, seed)]
+
+
+# over the 600 seeded pairs: the nodes of the walk up and of the descent,
+# without a budget, and how many of them settle at budgets 7 and 200
+WALK_NODES, DESCENT_NODES = 16_943, 5_944
+WALK_EXACT, DESCENT_EXACT = 717, 906
+
+
+def test_descent_matches_the_walk_up():
+    # without a budget the descent and the walk up decide the answer's k
+    # with the same search, so they agree on sdepth, exactness and the
+    # certificate; the walk needs no upper bound, so it also checks that
+    # upper_bound is one
+    nodes = {"walk": 0, "descent": 0}
+    for j, i in _seeded_pairs():
+        walk, res = _bottom_up_depth(j, i), stanley_depth(j, i)
+        assert walk.exact and res.exact
+        assert res.upper == upper_bound(build_char_poset(j, i)) >= walk.sdepth
+        assert res.sdepth == walk.sdepth
+        assert _digest(res.certificate) == _digest(walk.certificate)
+        nodes["walk"] += walk.nodes
+        nodes["descent"] += res.nodes
+    assert nodes == {"walk": WALK_NODES, "descent": DESCENT_NODES}
+
+
+def test_descent_under_a_budget():
+    # wherever the walk up settles inside a budget, the descent does too,
+    # with the same answer.  A descent the budget cuts has found no cover,
+    # so it keeps the singletons: its lower bound, the smallest element
+    # size, may be below the walk's, but it still brackets sdepth with U
+    exact = {"walk": 0, "descent": 0}
+    for j, i in _seeded_pairs():
+        full = stanley_depth(j, i)
+        for budget in (7, 200):
+            walk = _bottom_up_depth(j, i, budget)
+            res = stanley_depth(j, i, node_budget=budget)
+            assert res.nodes <= budget and res.upper == full.upper
+            if walk.exact:
+                assert res.exact and res.sdepth == walk.sdepth
+            if res.exact:
+                assert (res.sdepth, res.nodes) == (full.sdepth, full.nodes)
+            else:
+                assert res.sdepth <= full.sdepth <= res.upper
+                assert validate_decomposition(res.certificate, j, i)
+            exact["walk"] += walk.exact
+            exact["descent"] += res.exact
+    assert exact == {"walk": WALK_EXACT, "descent": DESCENT_EXACT}
+
+
+VERIFY_ALL_N10 = Path(__file__).with_name("data") / "verify_all_n10.json"
+
+
+def test_upper_bound_meets_every_family_sdepth_up_to_n10():
+    # the sdepth rows of `verify --suite all --n-max 10` as recorded by the
+    # walk up, which used no bound but the smallest maximal element
+    rows = json.loads(VERIFY_ALL_N10.read_text())
+    checked = 0
+    for row in rows:
+        if row["quantity"] != "sdepth":
+            continue
+        j, i = family_module(row["family"], row["n"], row["m"])
+        poset = build_char_poset(j, i)
+        assert upper_bound(poset) == row["computed"], row
+        checked += 1
+    assert checked == 88
+
+
+def test_counting_bound_binds_on_the_maximal_ideal():
+    # the whole variable set is the one maximal element of max:n, so only
+    # the level counts bring U down to sdepth = ceil(n / 2)
+    for n in range(2, 13):
+        poset = build_char_poset(line_ideal(n, 1), MonomialIdeal.zero(n))
+        assert poset.maximal_elements() == [(1 << n) - 1]
+        assert upper_bound(poset) == (n + 1) // 2, n
 
 
 def test_luby_sequence():
@@ -544,7 +660,9 @@ def test_bit_planes_and_least_match_brute_force():
 def test_decisions_go_through_the_module_and_certify_once(
         monkeypatch, j, i, budget):
     # the benchmark's tracer counts decisions by wrapping the module
-    # attribute sdepth_at_least; only the final cover becomes a certificate
+    # attribute sdepth_at_least; only the final cover becomes a certificate.
+    # The descent decides k = U, U - 1, ... down to the answer, the last
+    # only if it is above the smallest size
     calls = {sdepth_at_least: 0, certificate_from: 0}
 
     def counted(func):
@@ -558,9 +676,10 @@ def test_decisions_go_through_the_module_and_certify_once(
     res = stanley_depth(j, i, node_budget=budget)
     poset = build_char_poset(j, i)
     lowest = min(s.bit_count() for s in poset.elements)
-    upper = min(s.bit_count() for s in poset.maximal_elements())
+    upper = upper_bound(poset)
+    assert res.upper == upper
     if budget is None:
-        decisions = res.sdepth - lowest + (res.sdepth < upper)
+        decisions = upper - res.sdepth + (res.sdepth > lowest)
     else:
         # spent inside the first decision, which leaves the all-singletons
         # certificate (test_budget_spent_before_any_decision_gives_the_singletons)
