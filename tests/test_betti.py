@@ -13,6 +13,7 @@ from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.homology import reduced_homology_ranks
 from pathdepth.ideals import MonomialIdeal, monomial
 from pathdepth.linalg import rank_bareiss, rank_mod_p
+from pathdepth.oracle import expectation
 
 
 def test_koszul_complex_totals():
@@ -227,3 +228,17 @@ def test_taylor_matches_hochster_on_rp2_beside_an_edge():
         tables[field] = hochster_betti(ideal, field)
         assert taylor_betti(ideal, field) == tables[field]
     assert tables[RATIONALS] != tables[GF2]
+
+
+@pytest.mark.parametrize("family, n, m, ideal", [
+    ("jn2", 16, 14, cycle_ideal(16, 14)),
+    ("line", 16, 8, line_ideal(16, 8)),
+], ids=["cyc:16:14", "line:16:8"])
+def test_depth_rows_where_the_reduction_dominates(family, n, m, ideal):
+    # each restricted complex has up to 2^16 faces and ranks at most a few
+    # cells, so the star collapse and the worklist carry the row
+    tables = {field: hochster_betti(ideal, field) for field in (RATIONALS, GF2)}
+    assert tables[RATIONALS] == tables[GF2]
+    # jn2 is stated as [n - 3, n - 2]; its depth is the lower end
+    assert n - tables[RATIONALS].projective_dimension() == \
+        expectation(family, n, "depth", m).lo

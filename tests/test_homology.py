@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from pathdepth.betti import GF2, RATIONALS, Field
+from pathdepth.graphs import cycle_ideal
 from pathdepth.homology import (boundary_matrix, chain_homology_ranks,
                                 reduce_faces, reduced_homology_ranks,
                                 validate_closed)
@@ -110,12 +111,48 @@ def _random_complexes(count, seed=11):
         yield _closure(facets, n)
 
 
+def _gapped_complexes(count, seed):
+    """Random complexes on up to 10 vertices whose labels skip values."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        labels = rng.sample(range(1, 11), rng.randint(1, 10))
+        facets = [rng.sample(labels, rng.randint(1, min(len(labels), 6)))
+                  for _ in range(rng.randint(1, 12))]
+        yield _closure(facets, 10)
+
+
+def _join(left, right, shift):
+    """The join of two face sets, with the right one's vertices moved up by
+    shift bits."""
+    return {f | g << shift for f in left for g in right}
+
+
+RP2_FACES = _closure(RP2, 6)
+# the cone over RP^2, its suspension, and its join with a circle
+RP2_BUILDS = [_join(RP2_FACES, _closure([[1]], 1), 6),
+              _join(RP2_FACES, _closure([[1], [2]], 2), 6),
+              _join(RP2_FACES, _closure([[1, 2], [2, 3], [1, 3]], 3), 6)]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_reduction_keeps_homology(field):
     # RP^2 first: its H̃_1 and H̃_2 differ between Q and GF(2)
-    for faces in [_closure(RP2, 6), *_random_complexes(150)]:
+    for faces in [RP2_FACES, *RP2_BUILDS, *_random_complexes(150),
+                  *_gapped_complexes(300, seed=17)]:
         assert reduced_homology_ranks(faces, field) == \
             _unreduced_ranks(faces, field)
+
+
+def test_torsion_survives_the_star_collapse():
+    # the collapse takes the star of one vertex; in the suspension and the
+    # join of RP^2 the 2-torsion must live on in the cells left after it
+    _, suspension, join = RP2_BUILDS
+    for faces, shift in ((suspension, 1), (join, 2)):
+        assert reduce_faces(sorted(faces))
+        q = reduced_homology_ranks(faces, RATIONALS)
+        assert set(q.values()) == {0}
+        gf2 = reduced_homology_ranks(faces, GF2)
+        assert {d: r for d, r in gf2.items() if r} == {1 + shift: 1, 2 + shift: 1}
 
 
 def test_cone_and_simplex_reduce_to_nothing():
@@ -146,6 +183,33 @@ def test_worklist_never_holds_a_cell_twice(monkeypatch):
     monkeypatch.setattr("pathdepth.homology.deque", OnceDeque)
     for faces in [_closure(RP2, 6), *_random_complexes(60, seed=5)]:
         assert reduced_homology_ranks(faces, GF2) == _unreduced_ranks(faces, GF2)
+
+
+def _stanley_reisner_faces(ideal):
+    lcm = ideal.lcm_table()
+    return [s for s in range(1 << ideal.n) if not lcm[s]]
+
+
+@pytest.mark.parametrize("faces, most_pops, ranks", [
+    # the boundary of the 11-simplex: the star of one vertex is every face
+    # but the facet opposite it, which is the one cell left
+    (range((1 << 12) - 1), 1, {10: 1}),
+    (_stanley_reisner_faces(cycle_ideal(16, 14)), 100, {12: 1}),
+], ids=["boundary-of-11-simplex", "cyc:16:14"])
+def test_star_collapse_leaves_few_pops(monkeypatch, faces, most_pops, ranks):
+    # one queue pop per face without the collapse: 4096 and 65503
+    pops = 0
+
+    class CountingDeque(deque):
+        def popleft(self):
+            nonlocal pops
+            pops += 1
+            return super().popleft()
+
+    monkeypatch.setattr("pathdepth.homology.deque", CountingDeque)
+    got = reduced_homology_ranks(list(faces), GF2)
+    assert pops <= most_pops
+    assert {d: r for d, r in got.items() if r} == ranks
 
 
 def test_field_validation():
