@@ -9,6 +9,7 @@ bitmask inclusion, gcd is bitwise AND, lcm is bitwise OR.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +21,17 @@ MAX_AMBIENT = 24
 TABLE_MAX_N = 16
 
 
+def integer(value) -> int:
+    """``value`` as an int; TypeError for what int() would coerce instead."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
 def monomial(indices, n: int) -> int:
     """Bitmask of a squarefree monomial from 1-based variable indices."""
     mask = 0
-    for i in indices:
+    for i in map(integer, indices):
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} outside 1..{n}")
         mask |= 1 << (i - 1)
@@ -243,7 +251,7 @@ class MonomialIdeal:
     def from_dict(cls, data: dict) -> "MonomialIdeal":
         """Ideal from {"n": .., "gens": [[..], ..]}; ValueError if malformed."""
         try:
-            return cls.from_vars(int(data["n"]), data["gens"])
+            return cls.from_vars(integer(data["n"]), data["gens"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed ideal data: {exc!r}") from exc
 

@@ -1,9 +1,10 @@
 """Exact Stanley depth of J/I via interval partitions of its characteristic poset.
 
 The characteristic poset holds the variable subsets σ with x^σ in J but
-not in I, ordered by inclusion.  A Stanley decomposition corresponds to a
-partition of this poset into intervals [σ,τ]; the Stanley depth is the
-best achievable minimum of |τ|.
+not in I (module_table), ordered by inclusion; one CharPoset is both the
+poset and the search's index over it.  A Stanley decomposition corresponds
+to a partition of this poset into intervals [σ,τ]; the Stanley depth is
+the best achievable minimum of |τ|.
 
 The decision "sdepth >= k" is solved as an exact-cover problem: every
 poset element of size < k must be covered by exactly one interval whose
@@ -24,13 +25,12 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .ideals import (MonomialIdeal, bits, check_table_n, divides, monomial,
-                     monomial_vars, subsets)
+from .ideals import (MonomialIdeal, bits, check_table_n, divides, integer,
+                     monomial, monomial_vars, subsets)
 
 
 class BudgetExceeded(Exception):
@@ -56,37 +56,53 @@ def size_lex_keys(masks, images) -> np.ndarray:
     return keys
 
 
-class SearchIndex:
-    """Everything the cover search needs of a poset that does not depend on k.
+def module_table(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal) -> np.ndarray:
+    """Per mask of all 2^n, whether x^mask lies in J \\ I (bool array);
+    ValueError unless I ⊆ J and I ≠ J."""
+    j_ideal.same_ambient(i_ideal)
+    in_j, in_i = j_ideal.member_table(), i_ideal.member_table()
+    if (in_i & ~in_j).any():
+        raise ValueError("I is not contained in J")
+    table = in_j & ~in_i
+    if not table.any():
+        raise ValueError("J/I is the zero module")
+    return table
 
-    Elements are numbered in (size, lex) order, so each size is a run of
-    consecutive numbers; ``order`` lists them and ``masks`` is the same
-    list as an int64 array.  ``up[i]`` and ``down[i]`` are bitmaps over
-    those numbers of the elements above and below element i (itself
-    included), ``levels[l]`` is the bitmap of the elements of size l.
 
-    A CharPoset is J \\ I, which is convex (an up-set meets a down-set), so
-    an interval lies in the poset iff its ends do.  ``up`` and ``down``
-    come from a subset zeta transform restricted to the poset: per
-    variable b, ``down[s] |= down[s - b]`` and ``up[s - b] |= up[s]`` over
-    the pairs (s - b, s) with both ends in it.  By convexity every mask on
-    the zeta's path between two elements is an element too, so the result
-    is exact, and the one table over all 2^n masks holds an int64 per
-    mask, not a bitmap.
+class CharPoset:
+    """Subsets σ with x^σ ∈ J \\ I, as bitmasks, ordered by inclusion, with
+    all that the cover search needs of them and that does not depend on k.
+
+    Made only from a pair I ⊆ J with I ≠ J (else ValueError), so it is
+    never empty and always convex (an up-set meets a down-set): an interval
+    lies in it iff its ends do.  Elements are numbered in (size, lex)
+    order, so each size is a run of numbers; ``elements`` lists them,
+    ``masks`` is that list as an int64 array, and ``position`` maps each
+    of the 2^n masks to its number (-1 off the poset).  ``up[i]`` and
+    ``down[i]`` are bitmaps over the numbers of the elements above and
+    below element i (itself included), ``levels[l]`` that of the elements
+    of size l.
+
+    ``up`` and ``down`` come from a subset zeta transform restricted to the
+    poset: per variable b, ``down[s] |= down[s - b]`` and ``up[s - b] |=
+    up[s]`` over the pairs (s - b, s) with both ends in it.  By convexity
+    every mask on the zeta's path between two elements is an element too,
+    so the result is exact, and ``position``, the one table over all 2^n
+    masks, holds an int64 per mask, not a bitmap.
     """
 
-    def __init__(self, poset: "CharPoset"):
-        self.n = n = poset.n
-        keys = size_lex_keys(poset.masks, range(1, n + 1))
-        self.masks = masks = poset.masks[np.argsort(keys)]
-        self.order = masks.tolist()
-        self.index = {s: i for i, s in enumerate(self.order)}
-        size = len(self.order)
+    def __init__(self, j_ideal: MonomialIdeal, i_ideal: MonomialIdeal):
+        masks = np.flatnonzero(module_table(j_ideal, i_ideal)).astype(np.int64)
+        self.n = n = j_ideal.n
+        keys = size_lex_keys(masks, range(1, n + 1))
+        self.masks = masks = masks[np.argsort(keys)]
+        self.elements = masks.tolist()
+        size = len(self.elements)
         # a key's 2^n terms count its mask's size: size = ceil(key / 2^n)
         counts = np.bincount(-(-keys >> n), minlength=n + 1).tolist()
         ends = np.cumsum(counts).tolist()
         self.levels = [(1 << e) - (1 << (e - c)) for e, c in zip(ends, counts)]
-        pos = np.full(1 << n, -1, dtype=np.int64)
+        self.position = pos = np.full(1 << n, -1, dtype=np.int64)
         pos[masks] = np.arange(size)
         # while it is built, up[i] carries bit `size` as well, so every OR
         # makes an int of its final length and the allocator reuses the one
@@ -104,35 +120,8 @@ class SearchIndex:
         for i in range(size):
             up[i] ^= top
 
-
-class CharPoset:
-    """Subsets σ with x^σ ∈ J \\ I, as bitmasks, ordered by inclusion.
-
-    Made only from a pair I ⊆ J with I ≠ J (else ValueError), so it is
-    never empty and always convex.  ``elements`` holds the masks as a
-    frozenset, ``masks`` as an ascending int64 array.
-    """
-
-    def __init__(self, j_ideal: MonomialIdeal, i_ideal: MonomialIdeal):
-        j_ideal.same_ambient(i_ideal)
-        for g in i_ideal.gens:
-            if not j_ideal.contains(g):
-                raise ValueError("I is not contained in J")
-        self.n = j_ideal.n
-        in_j, in_i = j_ideal.member_table(), i_ideal.member_table()
-        self.masks = np.flatnonzero(in_j & ~in_i).astype(np.int64, copy=False)
-        if not len(self.masks):
-            raise ValueError("J/I is the zero module")
-        self.elements = frozenset(self.masks.tolist())
-
-    @cached_property
-    def search_index(self) -> SearchIndex:
-        """Built on first use and then shared by every decision on this poset."""
-        return SearchIndex(self)
-
     def maximal_elements(self) -> list[int]:
-        ix = self.search_index
-        return sorted(s for i, s in enumerate(ix.order) if ix.up[i] == 1 << i)
+        return sorted(s for i, s in enumerate(self.elements) if self.up[i] == 1 << i)
 
 
 @dataclass(frozen=True)
@@ -176,7 +165,7 @@ class StanleyCertificate:
         try:
             ivs = [Interval(monomial(d["lower"], n), monomial(d["upper"], n))
                    for d in data["intervals"]]
-            return cls(ivs, int(data["sdepth"]))
+            return cls(ivs, integer(data["sdepth"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate: {exc!r}") from exc
 
@@ -297,18 +286,18 @@ class _CoverSearch:
     not depend on the labelling, so every attempt shares them.
     """
 
-    def __init__(self, index: SearchIndex, k: int):
-        self.ix = index
+    def __init__(self, poset: CharPoset, k: int):
+        self.poset = poset
         self.k = k
         self.nodes = 0
-        self.levels = index.levels[:k + 1]
+        self.levels = poset.levels[:k + 1]
         sizes = [m.bit_count() for m in self.levels]
         self.n_low, self.n_ranked = sum(sizes[:k]), sum(sizes)
         self.forced = forced_intervals(sizes, k)
         # per low element s, the number of size-k tops t with [s,t] in the
         # poset: as the poset is convex, every size-k element above s
         tops = self.levels[k]
-        counts = [(u & tops).bit_count() for u in index.up[:self.n_low]]
+        counts = [(u & tops).bit_count() for u in poset.up[:self.n_low]]
         self.root_dead = not all(counts)
         self.start_planes = bit_planes(counts)
         self.failed: set[int] = set()
@@ -325,9 +314,9 @@ class _CoverSearch:
         size_lex_keys position under the shuffled labels after that."""
         if attempt == 0:
             return range(self.n_ranked)
-        images = list(range(1, self.ix.n + 1))
+        images = list(range(1, self.poset.n + 1))
         random.Random(attempt).shuffle(images)
-        keys = size_lex_keys(self.ix.masks[:self.n_ranked], images)
+        keys = size_lex_keys(self.poset.masks[:self.n_ranked], images)
         rank = np.empty_like(keys)
         rank[np.argsort(keys)] = np.arange(len(keys))
         return rank
@@ -395,7 +384,7 @@ class _CoverSearch:
         self.rank = self._ranks(a)
         self.rank_planes = None if a == 0 else bit_planes(self.rank)
         self.planes = planes = self.start_planes[:]
-        order, up, down = self.ix.order, self.ix.up, self.ix.down
+        order, up, down = self.poset.elements, self.poset.up, self.poset.down
         # the tops are the size-k elements, base, base + 1, ...: a state
         # lists its live tops as offsets from base, in bit order under
         # attempt 0 and sorted by their ranks after that
@@ -460,11 +449,11 @@ def certificate_from(poset: CharPoset, intervals: list[Interval],
     singleton, claiming the smallest top (k if there are no intervals at
     all).  The intervals lie in the poset and do not overlap, as the
     search's do; an empty cover gives the all-singletons certificate."""
-    ix = poset.search_index
-    uncovered = (1 << len(ix.order)) - 1
+    up, down, pos = poset.up, poset.down, poset.position
+    uncovered = (1 << len(poset.elements)) - 1
     for iv in intervals:
-        uncovered &= ~(ix.up[ix.index[iv.lower]] & ix.down[ix.index[iv.upper]])
-    singles = [Interval(s, s) for s in sorted(ix.order[i] for i in bits(uncovered))]
+        uncovered &= ~(up[pos[iv.lower]] & down[pos[iv.upper]])
+    singles = [Interval(s, s) for s in sorted(poset.elements[i] for i in bits(uncovered))]
     all_ivs = intervals + singles
     claimed = min((iv.upper.bit_count() for iv in all_ivs), default=k)
     return StanleyCertificate(all_ivs, claimed)
@@ -487,7 +476,7 @@ def sdepth_at_least(poset: CharPoset, k: int, budget=None):
     if k < 0 or k > poset.n:
         raise ValueError(f"k={k} outside 0..{poset.n}")
     _check_budget(budget)
-    search = _CoverSearch(poset.search_index, k)
+    search = _CoverSearch(poset, k)
     return search.run(budget), search.nodes
 
 
@@ -499,7 +488,7 @@ def upper_bound(poset: CharPoset) -> int:
     for every k <= sdepth, since a partition with tops of size >= k cuts
     into one with tops of size exactly k."""
     maximal = min(s.bit_count() for s in poset.maximal_elements())
-    sizes = [level.bit_count() for level in poset.search_index.levels]
+    sizes = [level.bit_count() for level in poset.levels]
     for k in range(1, maximal + 1):
         if forced_intervals(sizes, k) is None:
             return k - 1
@@ -521,7 +510,7 @@ def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
     poset = build_char_poset(j_ideal, i_ideal)
     upper = upper_bound(poset)
     total_nodes, exact = 0, True
-    best_k, best_cover = poset.search_index.order[0].bit_count(), []
+    best_k, best_cover = poset.elements[0].bit_count(), []
     for k in range(upper, best_k, -1):
         remaining = None if node_budget is None else node_budget - total_nodes
         try:
@@ -540,24 +529,26 @@ def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
 def validate_decomposition(cert: StanleyCertificate,
                            j_ideal: MonomialIdeal,
                            i_ideal: MonomialIdeal) -> ValidationResult:
-    """Check that a certificate is a genuine interval partition of the poset.
-
-    A pair past the table cap is refused with ValueError, not judged.
-    """
+    """Check that a certificate is a genuine interval partition of the poset
+    by walking each member against module_table and a bytearray of the masks
+    not yet covered, with no CharPoset.  A pair past the table cap is
+    refused with ValueError, not judged."""
     check_table_n(j_ideal.n)
     try:
-        poset = build_char_poset(j_ideal, i_ideal)
+        table = module_table(j_ideal, i_ideal)
     except ValueError as exc:
         return ValidationResult(False, f"bad module pair: {exc}")
-    seen: set[int] = set()
+    in_poset = table.tobytes()
+    uncovered = bytearray(in_poset)
     for iv in cert.intervals:
         for m in iv.members():
-            if m not in poset.elements:
+            # m >> n catches a negative m and a bit at or past n before the lookup
+            if m >> j_ideal.n or not in_poset[m]:
                 return ValidationResult(False, "interval leaves the poset")
-            if m in seen:
+            if not uncovered[m]:
                 return ValidationResult(False, "overlapping intervals")
-            seen.add(m)
-    if seen != poset.elements:
+            uncovered[m] = 0
+    if 1 in uncovered:
         return ValidationResult(False, "intervals do not cover the poset")
     if cert.intervals:
         actual = min(iv.upper.bit_count() for iv in cert.intervals)

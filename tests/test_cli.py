@@ -201,7 +201,11 @@ def test_verify_refuses_n_max_past_every_ideal(capsys):
     assert len(rows) == 2 and all(",SKIPPED," in r for r in rows)
 
 
-@pytest.mark.parametrize("text", [None, "[1]", '{"n": 3}', '{"n": 3, "gens": 5}'])
+@pytest.mark.parametrize("text", [
+    None, "[1]", '{"n": 3}', '{"n": 3, "gens": 5}',
+    # int() would read these as n = 4, n = 1 and x1*x2
+    '{"n": 4.9, "gens": [[1, 2], [2, 3]]}', '{"n": true, "gens": [[1]]}',
+    '{"n": 4, "gens": [[true, 2]]}'])
 def test_bad_ideal_file_exits_two(text, tmp_path, capsys):
     path = tmp_path / "ideal.json"
     if text is not None:
@@ -211,7 +215,8 @@ def test_bad_ideal_file_exits_two(text, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("data", [{"sdepth": 1}, {"intervals": [{}]}, [1]])
+@pytest.mark.parametrize("data", [{"sdepth": 1}, {"intervals": [{}]}, [1],
+                                  {"sdepth": 1.9, "intervals": []}])
 def test_malformed_certificate_exits_two(data, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(data))

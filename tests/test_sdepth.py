@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from dataclasses import astuple
 from math import comb
 from pathlib import Path
 
@@ -13,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
-                              divides, monomial, monomial_vars)
+                              check_table_n, divides, monomial, monomial_vars)
 from pathdepth.oracle import family_module
 from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval, SdepthResult,
-                              SearchIndex, StanleyCertificate, _CoverSearch,
-                              bit_planes, build_char_poset, certificate_from,
+                              StanleyCertificate, _CoverSearch, bit_planes,
+                              build_char_poset, certificate_from,
                               forced_intervals, least, luby, sdepth_at_least,
                               size_lex_keys, stanley_depth, upper_bound,
-                              validate_decomposition)
+                              ValidationResult, validate_decomposition)
 
 
 def test_char_poset_of_cycle_quotient():
@@ -37,8 +38,8 @@ def test_char_poset_of_cycle_quotient():
 def test_char_poset_of_subquotient():
     # J_{4,3}/I_{4,3} keeps only the two wrapping triples
     poset = build_char_poset(cycle_ideal(4, 3), line_ideal(4, 3))
-    assert poset.elements == frozenset({monomial([1, 3, 4], 4),
-                                        monomial([1, 2, 4], 4)})
+    assert set(poset.elements) == {monomial([1, 3, 4], 4),
+                                   monomial([1, 2, 4], 4)}
 
 
 def test_char_poset_rejects_non_inclusion():
@@ -312,7 +313,7 @@ def _live_tops(search):
     """Per low element s of a decision, the bitmap of its candidate tops:
     by convexity, every size-k element above s."""
     tops = search.levels[search.k]
-    return [u & tops for u in search.ix.up[:search.n_low]]
+    return [u & tops for u in search.poset.up[:search.n_low]]
 
 
 def _bottom_up_depth(j, i, budget=None):
@@ -322,7 +323,7 @@ def _bottom_up_depth(j, i, budget=None):
     upper bound: past the smallest maximal element, that element has no
     top, so the decision fails at its root without a node."""
     poset = build_char_poset(j, i)
-    best, cover = poset.search_index.order[0].bit_count(), []
+    best, cover = poset.elements[0].bit_count(), []
     nodes, exact = 0, True
     for k in range(best + 1, poset.n + 1):
         remaining = None if budget is None else budget - nodes
@@ -343,7 +344,7 @@ def _attempt_zero_depth(j, i):
     poset = build_char_poset(j, i)
     best, cert, nodes = min(s.bit_count() for s in poset.elements), None, 0
     for k in range(best + 1, poset.n + 1):
-        search = _CoverSearch(poset.search_index, k)
+        search = _CoverSearch(poset, k)
         intervals = search.attempt(0) if all(_live_tops(search)) else None
         nodes += search.nodes
         if intervals is None:
@@ -468,8 +469,8 @@ def test_attempt_is_the_search_on_the_relabelled_poset():
         poset = build_char_poset(j, i)
         moved = build_char_poset(j.relabel(perm), i.relabel(perm))
         for k in range(1, n + 1):
-            ranked = _CoverSearch(poset.search_index, k)
-            plain = _CoverSearch(moved.search_index, k)
+            ranked = _CoverSearch(poset, k)
+            plain = _CoverSearch(moved, k)
             got, want = ranked.attempt(a), plain.attempt(0)
             assert ranked.nodes == plain.nodes, (case, k)
             if want is None:
@@ -507,7 +508,7 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
 
     def rescanned(self, uncovered, walked):
         tops = self.levels[self.k]
-        live = {i: (self.ix.up[i] & tops & uncovered).bit_count()
+        live = {i: (self.poset.up[i] & tops & uncovered).bit_count()
                 for i in range(self.n_low) if uncovered >> i & 1}
         gives_up = (uncovered in self.failed
                     or _state_forced_total(self, uncovered) is None)
@@ -519,9 +520,9 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
         elif not live:
             want = None
         else:
-            size = min(self.ix.order[i].bit_count() for i in live)
+            size = min(self.poset.elements[i].bit_count() for i in live)
             want = -1 if gives_up else min(
-                (i for i in live if self.ix.order[i].bit_count() == size),
+                (i for i in live if self.poset.elements[i].bit_count() == size),
                 key=lambda i: (live[i], self.rank[i]))
         assert got == want
         visited.append(got)
@@ -532,7 +533,7 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
     for j, i in _random_pairs(200, 12) + [NAMED_PINS["cyc:9:3"][:2]]:
         poset = build_char_poset(j, i)
         for k in range(1, j.n + 1):
-            search = _CoverSearch(poset.search_index, k)
+            search = _CoverSearch(poset, k)
             if not all(_live_tops(search)):
                 continue
             for a in range(4):
@@ -565,7 +566,7 @@ def test_covers_place_the_forced_intervals_per_lower_size():
         poset = build_char_poset(j, i)
         root = (1 << len(poset.elements)) - 1
         for k in range(1, j.n + 1):
-            search = _CoverSearch(poset.search_index, k)
+            search = _CoverSearch(poset, k)
             total = _state_forced_total(search, root)
             assert total == (None if search.forced is None
                              else sum(search.forced)), k
@@ -616,7 +617,7 @@ def test_attempts_start_from_the_decision_planes(monkeypatch):
     for j, i in _random_pairs(60, 13):
         poset = build_char_poset(j, i)
         for k in range(1, j.n + 1):
-            search = _CoverSearch(poset.search_index, k)
+            search = _CoverSearch(poset, k)
             if not all(_live_tops(search)):
                 continue
             for a in range(2):
@@ -749,26 +750,26 @@ def test_search_index_matches_pair_scan():
             pairs.append((j, i))
     for j, i in pairs:
         poset = build_char_poset(j, i)
-        assert _is_convex(poset.elements, poset.n)
-        ix = poset.search_index
-        assert sorted(ix.order) == sorted(poset.elements)
-        for a, s in enumerate(ix.order):
-            assert ix.index[s] == a
-            assert ix.up[a] == sum(1 << b for b, t in enumerate(ix.order)
-                                   if divides(s, t))
-            assert ix.down[a] == sum(1 << b for b, t in enumerate(ix.order)
-                                     if divides(t, s))
+        elements = set(poset.elements)
+        assert _is_convex(elements, poset.n)
+        assert elements == {s for s in range(1 << poset.n)
+                            if j.contains(s) and not i.contains(s)}
+        for a, s in enumerate(poset.elements):
+            assert poset.position[s] == a
+            assert poset.up[a] == sum(1 << b for b, t in enumerate(poset.elements)
+                                      if divides(s, t))
+            assert poset.down[a] == sum(1 << b for b, t in enumerate(poset.elements)
+                                        if divides(t, s))
         assert poset.maximal_elements() == sorted(
             s for s in poset.elements
             if not any(t != s and divides(s, t) for t in poset.elements))
         # the live tops of each k: every member of [s,t] in the poset
         for k in range(poset.n + 1):
-            low = [s for s in ix.order if s.bit_count() < k]
-            assert _live_tops(_CoverSearch(ix, k)) == [
-                sum(1 << b for b, t in enumerate(ix.order)
+            low = [s for s in poset.elements if s.bit_count() < k]
+            assert _live_tops(_CoverSearch(poset, k)) == [
+                sum(1 << b for b, t in enumerate(poset.elements)
                     if t.bit_count() == k and divides(s, t)
-                    and all(m in poset.elements
-                            for m in Interval(s, t).members()))
+                    and all(m in elements for m in Interval(s, t).members()))
                 for s in low]
 
 
@@ -786,8 +787,8 @@ def _list_zeta(values, n, upward):
 
 
 def _full_lattice_index(poset):
-    """Reference: order, index, levels, up and down from zeta transforms
-    over all 2^n masks that carry the elements' bitmaps."""
+    """Reference: order, position table, levels, up and down from zeta
+    transforms over all 2^n masks that carry the elements' bitmaps."""
     n = poset.n
     order = sorted(poset.elements, key=lambda s: (s.bit_count(), monomial_vars(s)))
     levels = [0] * (n + 1)
@@ -797,7 +798,10 @@ def _full_lattice_index(poset):
         own[s] = 1 << a
     above = _list_zeta(own[:], n, upward=True)
     below = _list_zeta(own, n, upward=False)
-    return (order, {s: a for a, s in enumerate(order)}, levels,
+    position = [-1] * (1 << n)
+    for a, s in enumerate(order):
+        position[s] = a
+    return (order, position, levels,
             [above[s] for s in order], [below[s] for s in order])
 
 
@@ -805,23 +809,21 @@ def _full_lattice_index(poset):
 def test_search_index_matches_the_full_lattice_zeta(family):
     for n in range(8, 13):
         poset = build_char_poset(*family_module(family, n))
-        ix = poset.search_index
-        assert (ix.order, ix.index, ix.levels, ix.up, ix.down) == \
-            _full_lattice_index(poset), (family, n)
+        assert (poset.elements, poset.position.tolist(), poset.levels,
+                poset.up, poset.down) == _full_lattice_index(poset), (family, n)
 
 
 def test_search_index_keeps_no_bitmap_per_mask():
     # cyc:14:3 has 5071 elements in 2^14 masks: two tables of bitmaps over
     # all masks, one per direction, peaked near 11.8 MB; up and down
     # themselves take about 6 MB
-    poset = build_char_poset(MonomialIdeal.whole_ring(14), cycle_ideal(14, 3))
     tracemalloc.start()
     try:
-        ix = SearchIndex(poset)
+        poset = CharPoset(MonomialIdeal.whole_ring(14), cycle_ideal(14, 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ix.order) == 5071
+    assert len(poset.elements) == 5071
     assert peak < 9_000_000
 
 
@@ -850,7 +852,7 @@ def _certificate_by_members(poset, intervals, k):
     for iv in intervals:
         covered.update(iv.members())
     all_ivs = intervals + [Interval(s, s)
-                           for s in sorted(poset.elements - covered)]
+                           for s in sorted(set(poset.elements) - covered)]
     claimed = min((iv.upper.bit_count() for iv in all_ivs), default=k)
     return StanleyCertificate(all_ivs, claimed)
 
@@ -860,7 +862,7 @@ def test_certificate_from_matches_member_enumeration():
     for j, i in _random_pairs(20, 8):
         poset = build_char_poset(j, i)
         for k in range(1, j.n + 1):
-            search = _CoverSearch(poset.search_index, k)
+            search = _CoverSearch(poset, k)
             cover = (search.attempt(0) if all(_live_tops(search)) else None) or []
             for used in sorted({0, len(cover) // 2, len(cover)}):
                 part = cover[:used]
@@ -887,7 +889,6 @@ def test_decision_keeps_no_cube_per_candidate():
     # max:12 has 4095 elements, so each cube is a 4095-bit int: keeping one
     # per candidate tried would peak near 8 MB here
     poset = build_char_poset(line_ideal(12, 1), MonomialIdeal.zero(12))
-    poset.search_index  # built outside the measurement
     tracemalloc.start()
     try:
         cover, _ = sdepth_at_least(poset, 6)
@@ -909,3 +910,81 @@ def test_pairs_past_the_table_cap_are_refused():
                  lambda: validate_decomposition(cert, whole, ideal)):
         with pytest.raises(ValueError, match=f"cap {TABLE_MAX_N}"):
             call()
+
+
+def _validate_by_walk(cert, j_ideal, i_ideal):
+    """Reference: the checker as it was before it read module_table, a walk
+    over every member against a frozenset of the poset's elements."""
+    check_table_n(j_ideal.n)
+    try:
+        elements = frozenset(build_char_poset(j_ideal, i_ideal).elements)
+    except ValueError as exc:
+        return ValidationResult(False, f"bad module pair: {exc}")
+    seen = set()
+    for iv in cert.intervals:
+        for m in iv.members():
+            if m not in elements:
+                return ValidationResult(False, "interval leaves the poset")
+            if m in seen:
+                return ValidationResult(False, "overlapping intervals")
+            seen.add(m)
+    if seen != elements:
+        return ValidationResult(False, "intervals do not cover the poset")
+    if cert.intervals:
+        actual = min(iv.upper.bit_count() for iv in cert.intervals)
+        if cert.claimed_sdepth != actual:
+            return ValidationResult(False, "claimed sdepth differs from min |upper|")
+    return ValidationResult(True)
+
+
+def _mutants(cert, elements, n):
+    """Certificates one edit away from a valid one: an interval dropped or
+    duplicated, an upper end grown by a variable, a singleton off the
+    poset, a mask with bit n set, a negative mask, the claim off by one."""
+    ivs, claim = cert.intervals, cert.claimed_sdepth
+    grow = next((a for a, iv in enumerate(ivs) if iv.upper != (1 << n) - 1), None)
+    outside = next(m for m in range(1 << n) if m not in elements)
+    edited = [ivs[1:], ivs + ivs[:1],
+              ivs + [Interval(outside, outside)],
+              [Interval(ivs[0].lower, ivs[0].upper | 1 << n)] + ivs[1:],
+              ivs[:len(ivs) // 2] + [Interval(-1, -1)] + ivs[len(ivs) // 2:]]
+    if grow is not None:
+        iv = ivs[grow]
+        free = (iv.upper + 1) & ~iv.upper  # its lowest clear bit
+        edited.append(ivs[:grow] + [Interval(iv.lower, iv.upper | free)]
+                      + ivs[grow + 1:])
+    return ([StanleyCertificate(e, claim) for e in edited]
+            + [StanleyCertificate(ivs, claim + d) for d in (-1, 1)])
+
+
+def test_validate_matches_the_member_walk():
+    reasons = set()
+    for j, i in _random_pairs(40, 9):
+        cert = stanley_depth(j, i).certificate
+        elements = set(build_char_poset(j, i).elements)
+        for case in [cert, *_mutants(cert, elements, j.n)]:
+            got = validate_decomposition(case, j, i)
+            assert (got.ok, got.reason) == astuple(_validate_by_walk(case, j, i))
+            reasons.add(got.reason)
+        # the pair swapped is no module at all
+        got = validate_decomposition(cert, i, j)
+        assert (got.ok, got.reason) == astuple(_validate_by_walk(cert, i, j))
+        reasons.add(got.reason)
+    assert reasons == {None, "interval leaves the poset", "overlapping intervals",
+                       "intervals do not cover the poset",
+                       "claimed sdepth differs from min |upper|",
+                       "bad module pair: I is not contained in J"}
+
+
+def test_validate_builds_no_char_poset(monkeypatch):
+    j, i = MonomialIdeal.whole_ring(9), cycle_ideal(9, 3)
+    cert = stanley_depth(j, i).certificate
+
+    def refused(*args):
+        raise AssertionError("validate_decomposition built a CharPoset")
+
+    monkeypatch.setattr("pathdepth.sdepth.CharPoset", refused)
+    assert validate_decomposition(cert, j, i)
+    grown = StanleyCertificate(cert.intervals, cert.claimed_sdepth + 1)
+    assert validate_decomposition(grown, j, i).reason == \
+        "claimed sdepth differs from min |upper|"
