@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ideals import MonomialIdeal, bits, monomial_vars, subsets
 from .homology import chain_homology_ranks, reduced_homology_ranks
 from .linalg import INT64_SAFE
@@ -81,32 +83,36 @@ class BettiTable:
         return [(i, monomial_vars(s), b) for i, s, b in self.entries]
 
 
-def _pieces(gens: list[int]) -> list[int]:
-    """Variable masks of the connected pieces of gens, where two generators
-    are connected when they share a variable."""
-    pieces: list[int] = []
-    for g in gens:
-        merged = g
-        for p in pieces:
-            if p & g:
-                merged |= p
-        pieces = [p for p in pieces if not p & g] + [merged]
-    return pieces
-
-
 def _shape(mask: int, gens) -> tuple[int, ...]:
-    """The generators inside mask relabelled onto 0..k-1 in bit order, the
-    least over the k cyclic shifts of that order.
+    """The generators inside mask relabelled onto 0..k-1 in bit order and
+    rotated cyclically to the least sorted tuple among the rotations that
+    start at a gap.
 
-    Equal shapes give isomorphic restricted complexes; a missed isomorphism
-    only costs a cache hit.
+    A gap is a position j where no generator holds both j - 1 and j
+    (cyclically); with no gap every rotation is tried.  Rotating the
+    generators rotates their gaps along, so the key is the same for every
+    rotation of them: equal keys are exactly the generator sets equal up to
+    a cyclic shift, which give isomorphic restricted complexes.  A missed
+    isomorphism only costs a cache hit.
     """
     k = mask.bit_count()
     full = (1 << k) - 1
-    pos = {b: j for j, b in enumerate(bits(mask))}
-    packed = [sum(1 << pos[b] for b in bits(g)) for g in gens if g & ~mask == 0]
+    runs = []  # (first bit, run mask, packed offset) per run of set bits
+    rest, offset = mask, 0
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)
+        runs.append((low.bit_length() - 1, run, offset))
+        offset += run.bit_count()
+        rest ^= run
+    packed = [sum((g & run) >> first << off for first, run, off in runs)
+              for g in gens if g & ~mask == 0]
+    joined = 0
+    for r in packed:
+        joined |= r & ((r << 1 | r >> (k - 1)) & full)
+    gaps = full & ~joined
     return min(tuple(sorted(((r >> s) | (r << (k - s))) & full for r in packed))
-               for s in range(k))
+               for s in (bits(gaps) if gaps else range(k)))
 
 
 def _convolve(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
@@ -117,44 +123,72 @@ def _convolve(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _lowest_pieces(sigmas: np.ndarray, gens: tuple[int, ...]) -> np.ndarray:
+    """Per σ, the variables of the connected piece of the generators inside
+    σ that holds σ's lowest variable (two generators are connected when
+    they share a variable).
+
+    Every variable of an lcm-closed σ lies in a generator inside σ, so the
+    piece starts at that variable and each sweep ORs in every generator
+    inside σ that meets it, until no piece grows.
+    """
+    pieces = sigmas & -sigmas
+    inside = [(g, sigmas & g == g) for g in gens]
+    while True:
+        grown = pieces.copy()
+        for g, within in inside:
+            grown[within & (grown & g != 0)] |= g
+        if np.array_equal(grown, pieces):
+            return pieces
+        pieces = grown
+
+
 def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable:
     """All multigraded Betti numbers of S/I via Hochster's formula.
 
-    The generators inside σ split into connected pieces c (two are
+    Only σ with lcm[σ] = σ can carry homology: otherwise σ is outside the
+    ideal (a full simplex) or some vertex of σ is a cone point.  The
+    generators inside such a σ split into connected pieces c (two are
     connected when they share a variable), every minimal non-face of Δ_σ
     lies in one piece, so Δ_σ is the join of the Δ_c.  Over a field the
     Künneth formula for joins makes β_{·,σ} the convolution of the β_{·,c},
-    with index i = |c| - 1 - d adding up.  Each piece's row is kept by mask
-    and by shape, and only a new shape has its complex reduced and ranked.
+    with index i = |c| - 1 - d adding up.  Let P be the piece that holds
+    σ's lowest variable: σ ∖ P < σ is lcm-closed and its pieces are σ's
+    other pieces, so row(σ) = row(P) ⊛ row(σ ∖ P) from two rows already
+    known.  A connected σ has its row kept by shape, and only a new shape
+    has its complex reduced and ranked.  Equal products are built once, so
+    the rows per σ are shared references.
     """
     if ideal.is_whole_ring:
         raise ValueError("S/S is the zero module; no Betti table")
     n = ideal.n
-    lcm = ideal.lcm_table()
-    by_mask: dict[int, dict[int, int]] = {}
+    table = ideal.lcm_table()
+    # σ = 0 is always lcm-closed; its row is the (0, 0) entry
+    sigmas = np.flatnonzero(table == np.arange(1 << n))[1:]
+    lcm = table.tolist()
+    del table  # the list serves the face lookups; one table less at the peak
+    pieces = _lowest_pieces(sigmas, ideal.gens)
+    rows: dict[int, dict[int, int]] = {}
     by_shape: dict[tuple[int, ...], dict[int, int]] = {}
+    products: dict[tuple[int, int], dict[int, int]] = {}
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    for sigma in range(1, 1 << n):
-        if lcm[sigma] != sigma:
-            # sigma is outside the ideal (a full simplex), or some vertex of
-            # sigma is a cone point: no reduced homology
-            continue
-        row = {0: 1}
-        for mask in _pieces([g for g in ideal.gens if g & ~sigma == 0]):
-            piece = by_mask.get(mask)
-            if piece is None:
-                key = _shape(mask, ideal.gens)
-                piece = by_shape.get(key)
-                if piece is None:
-                    faces = [sub for sub in subsets(mask) if not lcm[sub]]
-                    ranks = reduced_homology_ranks(faces, field, check_closed=False)
-                    size = mask.bit_count()
-                    piece = {size - 1 - d: r for d, r in ranks.items() if r}
-                    by_shape[key] = piece
-                by_mask[mask] = piece
-            row = _convolve(row, piece)
-            if not row:
-                break
+    for sigma, piece in zip(sigmas.tolist(), pieces.tolist()):
+        if piece == sigma:
+            key = _shape(sigma, ideal.gens)
+            row = by_shape.get(key)
+            if row is None:
+                faces = [sub for sub in subsets(sigma) if not lcm[sub]]
+                ranks = reduced_homology_ranks(faces, field, check_closed=False)
+                size = sigma.bit_count()
+                row = {size - 1 - d: r for d, r in ranks.items() if r}
+                by_shape[key] = row
+        else:
+            left, right = rows[piece], rows[sigma ^ piece]
+            pair = (id(left), id(right))
+            row = products.get(pair)
+            if row is None:
+                row = products[pair] = _convolve(left, right)
+        rows[sigma] = row
         for i, b in row.items():
             entries[(i, sigma)] = b
     return BettiTable.from_dict(n, entries)

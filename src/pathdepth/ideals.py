@@ -196,16 +196,16 @@ class MonomialIdeal:
         check_monomial(mask, self.n)
         return any(divides(g, mask) for g in self.gens)
 
-    def lcm_table(self) -> list[int]:
-        """Per mask of all 2^n, the lcm of the generators dividing it.
+    def lcm_table(self) -> np.ndarray:
+        """Per mask of all 2^n, the lcm of the generators dividing it
+        (int64 array).
 
         A mask lies in a proper ideal iff its entry is nonzero.
         """
         check_table_n(self.n)
         table = np.zeros(1 << self.n, dtype=np.int64)
         table[list(self.gens)] = self.gens
-        # a list: betti reads it entry by entry, which is slower on numpy
-        return zeta(table, self.n).tolist()
+        return zeta(table, self.n)
 
     def member_table(self) -> np.ndarray:
         """Per mask of all 2^n, whether it lies in the ideal (bool array)."""

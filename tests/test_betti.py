@@ -4,14 +4,17 @@ import hashlib
 import math
 import random
 
+import tracemalloc
+
 import pytest
 
-from pathdepth.betti import (GF2, RATIONALS, TAYLOR_MAX_GENS, Field,
-                             depth_quotient, hochster_betti,
+from pathdepth import betti, homology
+from pathdepth.betti import (GF2, RATIONALS, TAYLOR_MAX_GENS, BettiTable,
+                             Field, depth_quotient, hochster_betti,
                              projective_dimension, taylor_betti)
 from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.homology import reduced_homology_ranks
-from pathdepth.ideals import MonomialIdeal, monomial
+from pathdepth.ideals import MonomialIdeal, bits, monomial, subsets
 from pathdepth.linalg import rank_bareiss, rank_mod_p
 from pathdepth.oracle import expectation
 
@@ -242,3 +245,158 @@ def test_depth_rows_where_the_reduction_dominates(family, n, m, ideal):
     # jn2 is stated as [n - 3, n - 2]; its depth is the lower end
     assert n - tables[RATIONALS].projective_dimension() == \
         expectation(family, n, "depth", m).lo
+
+
+def _pieces(gens):
+    """Variable masks of the connected pieces of gens, where two generators
+    are connected when they share a variable."""
+    pieces = []
+    for g in gens:
+        merged = g
+        for p in pieces:
+            if p & g:
+                merged |= p
+        pieces = [p for p in pieces if not p & g] + [merged]
+    return pieces
+
+
+def _all_shifts_shape(mask, gens):
+    """The generators inside mask packed onto 0..k-1 in bit order, the
+    least over all k cyclic shifts of that order."""
+    k = mask.bit_count()
+    full = (1 << k) - 1
+    pos = {b: j for j, b in enumerate(bits(mask))}
+    packed = [sum(1 << pos[b] for b in bits(g)) for g in gens if g & ~mask == 0]
+    return min(tuple(sorted(((r >> s) | (r << (k - s))) & full for r in packed))
+               for s in range(k))
+
+
+def _piecewise_betti(ideal, fields):
+    """Per field, the Betti table from the σ loop that splits every σ into
+    all its pieces and convolves each piece's row, keyed by mask and by the
+    all-shifts shape."""
+    lcm = ideal.lcm_table().tolist()
+    by_mask, by_shape = {}, {}
+    entries = {field: {(0, 0): 1} for field in fields}
+    for sigma in range(1, 1 << ideal.n):
+        if lcm[sigma] != sigma:
+            continue
+        rows = {field: {0: 1} for field in fields}
+        for mask in _pieces([g for g in ideal.gens if g & ~sigma == 0]):
+            if mask not in by_mask:
+                key = _all_shifts_shape(mask, ideal.gens)
+                if key not in by_shape:
+                    faces = [sub for sub in subsets(mask) if not lcm[sub]]
+                    size = mask.bit_count()
+                    by_shape[key] = {
+                        field: {size - 1 - d: r for d, r in
+                                reduced_homology_ranks(faces, field).items() if r}
+                        for field in fields}
+                by_mask[mask] = by_shape[key]
+            for field in fields:
+                rows[field] = betti._convolve(rows[field], by_mask[mask][field])
+        for field in fields:
+            for i, b in rows[field].items():
+                entries[field][(i, sigma)] = b
+    return {field: BettiTable.from_dict(ideal.n, table)
+            for field, table in entries.items()}
+
+
+def _random_small_ideals(count, seed):
+    """Ideals on up to 10 variables with generators of 1 to 4 variables;
+    many leave some variable in no generator."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        gens = [sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(4, n))))
+                for _ in range(rng.randint(1, 8))]
+        yield MonomialIdeal(n, tuple(gens))
+
+
+def _family_ideals(n_max):
+    for n in range(1, n_max + 1):
+        for m in range(1, n + 1):
+            yield line_ideal(n, m)
+        for m in range(2, n + 1) if n >= 3 else ():
+            yield cycle_ideal(n, m)
+
+
+FIELDS_Q_2_3 = (RATIONALS, GF2, Field(3))
+
+
+def test_lowest_piece_recursion_matches_the_piecewise_loop():
+    ideals = [*_family_ideals(12), *_random_small_ideals(300, seed=20261019)]
+    singles = sum(any(g.bit_count() == 1 for g in ideal.gens) for ideal in ideals)
+    isolated = sum(any(all(not g >> v & 1 for g in ideal.gens)
+                       for v in range(ideal.n)) for ideal in ideals)
+    assert singles >= 50 and isolated >= 50
+    for ideal in ideals:
+        for field, table in _piecewise_betti(ideal, FIELDS_Q_2_3).items():
+            assert hochster_betti(ideal, field) == table, (str(ideal), field)
+
+
+def _lcm_closed(ideal):
+    lcm = ideal.lcm_table().tolist()
+    return [s for s in range(1, 1 << ideal.n) if lcm[s] == s]
+
+
+@pytest.mark.parametrize("ideals", [
+    [cycle_ideal(12, 3)], [cycle_ideal(12, 5)], [line_ideal(12, 2)],
+    list(_random_small_ideals(100, seed=11)),
+], ids=["cyc:12:3", "cyc:12:5", "line:12:2", "random"])
+def test_gap_shape_key_gives_the_all_shifts_classes(ideals):
+    for ideal in ideals:
+        keys = {(betti._shape(s, ideal.gens), _all_shifts_shape(s, ideal.gens))
+                for s in _lcm_closed(ideal)}
+        # the two keys name the same classes iff they pair up one to one
+        assert len(keys) == len({gap for gap, _ in keys}) == \
+            len({old for _, old in keys}), str(ideal)
+
+
+def test_ranked_shapes_per_benchmark_instance(monkeypatch):
+    ranked = []
+
+    def counting(*args, **kwargs):
+        ranked[-1] += 1
+        return reduced_homology_ranks(*args, **kwargs)
+
+    monkeypatch.setattr(betti, "reduced_homology_ranks", counting)
+    for ideal, field in [(line_ideal(12, 2), RATIONALS), (line_ideal(12, 12), RATIONALS),
+                         (line_ideal(12, 7), GF2), (cycle_ideal(12, 3), GF2)]:
+        ranked.append(0)
+        hochster_betti(ideal, field)
+    # the traced depth_n12 pass reads betti.sigma_ranked = 28
+    assert ranked == [11, 1, 6, 10]
+
+
+def test_rows_per_sigma_are_shared():
+    # every σ of line:14:1 is lcm-closed, and its 15 distinct rows are
+    # {i: 1}; a row built per σ would peak near 8 MB (4.8 MB when shared)
+    tracemalloc.start()
+    try:
+        table = hochster_betti(line_ideal(14, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries) == 1 << 14
+    assert peak < 6_000_000
+
+
+def test_rank_step_is_reached_on_rp2(monkeypatch):
+    # no piece of the n = 12 benchmark sweep survives the reduction with
+    # cells to rank; the projective plane does, over both fields
+    calls = {"rank_bareiss": 0, "rank_mod_p": 0}
+    for name in calls:
+        real = getattr(homology, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(homology, name, counted)
+    ideal = MonomialIdeal(6, _rp2_nonfaces(6))
+    over_q = hochster_betti(ideal, RATIONALS)
+    assert calls["rank_bareiss"] >= 1
+    over_2 = hochster_betti(ideal, GF2)
+    assert calls["rank_mod_p"] >= 1
+    assert over_q != over_2
