@@ -156,7 +156,10 @@ def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable
     σ's lowest variable: σ ∖ P < σ is lcm-closed and its pieces are σ's
     other pieces, so row(σ) = row(P) ⊛ row(σ ∖ P) from two rows already
     known.  A connected σ has its row kept by shape, and only a new shape
-    has its complex reduced and ranked.  Equal products are built once, so
+    has its complex reduced and ranked.  Its faces are the submasks of σ
+    with lcm 0, listed in ascending order from the empty face: lcm is
+    monotone, so a subset of a face is a face, and the list is the closed
+    one reduced_homology_ranks takes.  Equal products are built once, so
     the rows per σ are shared references.
     """
     if ideal.is_whole_ring:
@@ -178,9 +181,9 @@ def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable
             row = by_shape.get(key)
             if row is None:
                 faces = [sub for sub in subsets(sigma) if not lcm[sub]]
-                ranks = reduced_homology_ranks(faces, field, check_closed=False)
+                ranks = reduced_homology_ranks(faces, field)
                 size = sigma.bit_count()
-                row = {size - 1 - d: r for d, r in ranks.items() if r}
+                row = {size - 1 - d: r for d, r in ranks.items()}
                 by_shape[key] = row
         else:
             left, right = rows[piece], rows[sigma ^ piece]

@@ -23,15 +23,6 @@ def _rank(matrix, field) -> int:
     return rank_mod_p(matrix, field.p)
 
 
-def validate_closed(faces) -> None:
-    """Raise if the face list is not closed under taking subsets."""
-    face_set = set(faces)
-    for f in face_set:
-        for b in bits(f):
-            if f ^ 1 << b not in face_set:
-                raise ValueError(f"face list not downward closed at {bin(f)}")
-
-
 def boundary_matrix(lower: list[int], upper: list[int]) -> np.ndarray:
     """Signed boundary matrix from the cells in upper to those in lower.
 
@@ -103,7 +94,8 @@ def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
     """Cells of a complex left after a star collapse, coreductions and
     free-face collapses, keyed by bit count.
 
-    faces is the ascending face list, the empty face first.  One numpy step
+    faces is a face list as reduced_homology_ranks takes it; one that does
+    not strictly ascend from the empty face is refused.  One numpy step
     first removes the closed star st(v) of the vertex v in the most faces
     (the lowest on a tie): every face σ without v whose σ ∪ v is a face,
     together with σ ∪ v.  The star, empty face included, is a cone, so its
@@ -116,6 +108,8 @@ def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
     finishes the reduction.
     """
     masks = np.array(faces, dtype=np.int64)
+    if len(masks) and (masks[0] or (masks[1:] <= masks[:-1]).any()):
+        raise ValueError("face list does not strictly ascend from the empty face")
     union = int(np.bitwise_or.reduce(masks))
     alive = np.zeros(1 << union.bit_length(), dtype=bool)
     alive[masks] = True
@@ -136,23 +130,18 @@ def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
     return cells
 
 
-def reduced_homology_ranks(faces, field, *, check_closed: bool = True) -> dict[int, int]:
-    """Ranks of reduced homology H̃_d, d = -1..dim, over the given field.
+def reduced_homology_ranks(faces, field) -> dict[int, int]:
+    """The nonzero ranks of reduced homology H̃_d over the given field,
+    keyed by d.
 
-    Only the cells left by reduce_faces reach the rank step.
+    faces lists the complex as ascending masks, each face once, starting at
+    the empty face and closed under subsets; the empty list is the void
+    complex.  The list is taken as it is: reduce_faces refuses one out of
+    order, with a repeat or without the empty face, and closure is the
+    producer's to keep.  Only the cells left by reduce_faces reach the rank
+    step.
     """
-    face_list = sorted(set(faces))
-    if check_closed:
-        validate_closed(face_list)
-    if not face_list:
+    cells = reduce_faces(faces)
+    if not cells:
         return {}
-    top = max(f.bit_count() for f in face_list)
-    ranks = {d: 0 for d in range(-1, top)}
-    if face_list[0] != 0:
-        # no empty face: treat the input as a void complex
-        return ranks
-    cells = reduce_faces(face_list)
-    if cells:
-        ranks.update((s - 1, h) for s, h in
-                     enumerate(chain_homology_ranks(cells, field)))
-    return ranks
+    return {s - 1: h for s, h in enumerate(chain_homology_ranks(cells, field)) if h}

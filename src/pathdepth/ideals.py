@@ -48,13 +48,13 @@ def bits(mask: int):
 
 
 def subsets(mask: int):
-    """Every submask of ``mask``, descending from ``mask`` to 0."""
-    sub = mask
+    """Every submask of ``mask``, ascending from 0 to ``mask``."""
+    sub = 0
     while True:
         yield sub
-        if not sub:
+        if sub == mask:
             return
-        sub = (sub - 1) & mask
+        sub = (sub - mask) & mask
 
 
 def zeta(values: np.ndarray, n: int) -> np.ndarray:

@@ -353,11 +353,21 @@ def test_gap_shape_key_gives_the_all_shifts_classes(ideals):
             len({old for _, old in keys}), str(ideal)
 
 
+def _is_face_list(faces):
+    """Strictly ascending from the empty face and closed under subsets,
+    checked face by face."""
+    present = set(faces)
+    return (faces[:1] == [0] and all(a < b for a, b in zip(faces, faces[1:]))
+            and all(f ^ 1 << v in present for f in faces for v in bits(f)))
+
+
 def test_ranked_shapes_per_benchmark_instance(monkeypatch):
     ranked = []
 
     def counting(*args, **kwargs):
         ranked[-1] += 1
+        # the producer keeps the face-list contract that homology relies on
+        assert _is_face_list(args[0])
         return reduced_homology_ranks(*args, **kwargs)
 
     monkeypatch.setattr(betti, "reduced_homology_ranks", counting)
