@@ -163,7 +163,7 @@ def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable
     the rows per σ are shared references.
     """
     if ideal.is_whole_ring:
-        raise ValueError("S/S is the zero module; no Betti table")
+        raise ValueError("I = S gives the zero module S/S")
     n = ideal.n
     table = ideal.lcm_table()
     # σ = 0 is always lcm-closed; its row is the (0, 0) entry
@@ -200,7 +200,7 @@ def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable
 def taylor_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable:
     """Betti numbers from the multigraded strands of the Taylor complex."""
     if ideal.is_whole_ring:
-        raise ValueError("S/S is the zero module; no Betti table")
+        raise ValueError("I = S gives the zero module S/S")
     gens = ideal.gens
     if len(gens) > TAYLOR_MAX_GENS:
         raise ValueError(f"{len(gens)} generators exceed cap {TAYLOR_MAX_GENS}")

@@ -15,7 +15,7 @@ from .betti import RATIONALS, GF2, depth_quotient, hochster_betti
 from .graphs import cycle_ideal, line_ideal
 from .ideals import MAX_AMBIENT, MonomialIdeal
 from .sdepth import StanleyCertificate, stanley_depth, validate_decomposition
-from .oracle import verify_suite, DEPTH_N_CAP, FAMILIES, SDEPTH_N_CAP
+from .oracle import FAMILIES, verify_suite
 
 FIELDS = {"q": RATIONALS, "f2": GF2}
 GRAPHS = {"line": line_ideal, "cycle": cycle_ideal}
@@ -57,19 +57,12 @@ def _load_module(args) -> tuple[MonomialIdeal, MonomialIdeal]:
         return MonomialIdeal.whole_ring(ideal.n), ideal
     if not args.graph or args.n is None or args.m is None:
         raise UsageError("need --graph, --n and --m (or --ideal-file)")
-    ideal = _named_ideal(args.graph, args.n, args.m)
+    ideal = GRAPHS[args.graph](args.n, args.m)
     if module == "subquotient":
         if args.graph != "cycle":
             raise UsageError("--module subquotient applies to cycle ideals")
         return ideal, line_ideal(args.n, args.m)
     return MonomialIdeal.whole_ring(args.n), ideal
-
-
-def _named_ideal(graph: str, n: int, m: int) -> MonomialIdeal:
-    try:
-        return GRAPHS[graph](n, m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -81,7 +74,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    ideal = _named_ideal(args.graph, args.n, args.m)
+    ideal = GRAPHS[args.graph](args.n, args.m)
     if args.format == "json":
         _emit(json.dumps(ideal.to_dict()), args.out)
     else:
@@ -91,16 +84,12 @@ def cmd_gen(args) -> int:
 
 def cmd_depth(args) -> int:
     _, ideal = _load_module(args)
-    if ideal.is_whole_ring:
-        raise UsageError("depth of the zero module S/S is undefined")
     _emit(str(depth_quotient(ideal, FIELDS[args.field])), args.out)
     return 0
 
 
 def cmd_betti(args) -> int:
     _, ideal = _load_module(args)
-    if ideal.is_whole_ring:
-        raise UsageError("Betti table of the zero module S/S is undefined")
     table = hochster_betti(ideal, FIELDS[args.field])
     if args.format == "json":
         rows = [{"i": i, "sigma": list(s), "beta": b} for i, s, b in table.rows()]
@@ -235,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=9)
     p.add_argument("--field", choices=FIELDS, default="q")
     p.add_argument("--budget-nodes", type=_positive_int)
-    p.add_argument("--depth-cap", type=_nonnegative_int, default=DEPTH_N_CAP)
-    p.add_argument("--sdepth-cap", type=_nonnegative_int, default=SDEPTH_N_CAP)
+    p.add_argument("--depth-cap", type=_nonnegative_int)
+    p.add_argument("--sdepth-cap", type=_nonnegative_int)
     p.add_argument("--format", choices=["json", "csv", "table"],
                    default="table")
     p.add_argument("--out")

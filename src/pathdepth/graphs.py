@@ -33,9 +33,12 @@ def cycle_window(n: int, start: int, m: int = 3) -> int:
     return monomial(((start + j - 1) % n + 1 for j in range(m)), n)
 
 
-def _edge_graph(ideal: MonomialIdeal) -> dict[int, set[int]] | None:
-    """Adjacency of the graph whose edges are the generators, keyed by
-    vertex bit; None if some generator is not of degree 2."""
+def _connected_order(ideal: MonomialIdeal, missing_edges: int) -> int | None:
+    """V if the generators are the E = V - ``missing_edges`` edges of a
+    connected graph on V vertices of maximum degree 2; None otherwise.
+
+    Such a graph is a path when E = V - 1 and a cycle when E = V.
+    """
     adj: dict[int, set[int]] = {}
     for g in ideal.gens:
         if g.bit_count() != 2:
@@ -44,7 +47,16 @@ def _edge_graph(ideal: MonomialIdeal) -> dict[int, set[int]] | None:
         b = g ^ a
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    return adj
+    if (not adj or len(ideal.gens) != len(adj) - missing_edges
+            or any(len(nb) > 2 for nb in adj.values())):
+        return None
+    seen, todo = set(), [next(iter(adj))]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo.extend(adj[v])
+    return len(adj) if len(seen) == len(adj) else None
 
 
 def path_ideal_order(ideal: MonomialIdeal) -> int | None:
@@ -53,38 +65,9 @@ def path_ideal_order(ideal: MonomialIdeal) -> int | None:
     Recognises ideals isomorphic (by variable relabelling) to the edge
     ideal of a line graph; returns None otherwise.
     """
-    adj = _edge_graph(ideal)
-    if not adj or len(ideal.gens) != len(adj) - 1:
-        return None
-    degs = sorted(len(v) for v in adj.values())
-    if degs[:2] != [1, 1] or any(d > 2 for d in degs):
-        return None
-    # connected: walk from one endpoint
-    start = next(v for v, nb in adj.items() if len(nb) == 1)
-    seen = {start}
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in adj[cur] if w != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        seen.add(cur)
-    return len(adj) if len(seen) == len(adj) else None
+    return _connected_order(ideal, 1)
 
 
 def cycle_ideal_order(ideal: MonomialIdeal) -> int | None:
     """If the degree-2 generators form a single cycle, its length."""
-    adj = _edge_graph(ideal)
-    if (not adj or len(ideal.gens) < 3 or len(ideal.gens) != len(adj)
-            or any(len(v) != 2 for v in adj.values())):
-        return None
-    start = next(iter(adj))
-    seen = {start}
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in adj[cur] if w != prev]
-        if not nxt or nxt[0] in seen:
-            break
-        prev, cur = cur, nxt[0]
-        seen.add(cur)
-    return len(adj) if len(seen) == len(adj) else None
+    return _connected_order(ideal, 0)

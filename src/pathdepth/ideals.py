@@ -84,9 +84,13 @@ def check_ambient(n: int) -> None:
         raise ValueError(f"ambient variable count {n} outside 1..{MAX_AMBIENT}")
 
 
+class TableCapExceeded(ValueError):
+    """An engine refuses n past the size of the tables it would build."""
+
+
 def check_table_n(n: int) -> None:
     if n > TABLE_MAX_N:
-        raise ValueError(f"ambient n={n} exceeds cap {TABLE_MAX_N}")
+        raise TableCapExceeded(f"ambient n={n} exceeds cap {TABLE_MAX_N}")
 
 
 def check_monomial(mask: int, n: int) -> None:

@@ -13,7 +13,7 @@ from typing import Callable
 
 from .betti import Field, RATIONALS, depth_quotient
 from .graphs import cycle_ideal, line_ideal
-from .ideals import TABLE_MAX_N, MonomialIdeal
+from .ideals import MonomialIdeal, TableCapExceeded
 from .sdepth import stanley_depth
 
 
@@ -222,30 +222,32 @@ class VerificationReport:
         return out
 
 
-# default desk-scale caps for the harness
-DEPTH_N_CAP = 16
-SDEPTH_N_CAP = 16
-
-
 def compute_row(family: str, n: int, m: int | None, quantity: str,
                 field_choice: Field = RATIONALS,
                 node_budget: int | None = None) -> Row:
-    """Evaluate one harness row: compute, compare, classify."""
+    """Evaluate one harness row: compute, compare, classify.
+
+    A row the budget cuts, or that an engine refuses past its table cap,
+    is SKIPPED; its note gives the reason.
+    """
     start = time.perf_counter()
     exp = expectation(family, n, quantity, m=m)
     m = FAMILIES[family].row_m(n, m)
     j_ideal, i_ideal = family_module(family, n, m)
     note = ""
-    if quantity == "depth":
-        computed = depth_quotient(i_ideal, field_choice)
-    else:
-        res = stanley_depth(j_ideal, i_ideal, node_budget=node_budget)
-        if not res.exact:
-            return Row(family, n, m, quantity, exp.lo, exp.hi, res.sdepth, SKIPPED,
-                       time.perf_counter() - start,
-                       f"budget exhausted; {res.sdepth} <= sdepth <= {res.upper}")
-        computed = res.sdepth
-    if exp.exact:
+    try:
+        if quantity == "depth":
+            computed = depth_quotient(i_ideal, field_choice)
+        else:
+            res = stanley_depth(j_ideal, i_ideal, node_budget=node_budget)
+            computed = res.sdepth
+            if not res.exact:
+                note = f"budget exhausted; {res.sdepth} <= sdepth <= {res.upper}"
+    except TableCapExceeded as exc:
+        computed, note = None, str(exc)
+    if note:  # the budget or the engine's table cap stopped the row
+        status = SKIPPED
+    elif exp.exact:
         status = MATCH if computed == exp.lo else VIOLATION
     elif exp.contains(computed):
         status = WITHIN_BOUNDS
@@ -268,25 +270,25 @@ def _suite_instances(suite: str, n_min: int, n_max: int):
 def verify_suite(suite: str, n_min: int, n_max: int,
                  field_choice: Field = RATIONALS,
                  node_budget: int | None = None,
-                 depth_n_cap: int = DEPTH_N_CAP,
-                 sdepth_n_cap: int = SDEPTH_N_CAP) -> VerificationReport:
+                 depth_n_cap: int | None = None,
+                 sdepth_n_cap: int | None = None) -> VerificationReport:
     """Run a family suite and compare both engines against the expectations.
 
-    Rows are computed one after another in the calling process.  Each
-    instance with both quantities computed also gets a stanley_inequality
-    row: sdepth >= depth.
+    Rows are computed one after another in the calling process.  A cap
+    skips the rows of its quantity past it; without one, each engine
+    decides how far it reaches.  Each instance with both quantities
+    computed also gets a stanley_inequality row: sdepth >= depth.
     """
-    # both engines refuse larger n, so past it their rows are skipped
-    caps = {"depth": min(depth_n_cap, TABLE_MAX_N),
-            "sdepth": min(sdepth_n_cap, TABLE_MAX_N)}
+    caps = {"depth": depth_n_cap, "sdepth": sdepth_n_cap}
     report = VerificationReport()
     for family, n, m, quantities in _suite_instances(suite, n_min, n_max):
         computed = {}
         for quantity in quantities:
-            if n > caps[quantity]:
+            cap = caps[quantity]
+            if cap is not None and n > cap:
                 exp = expectation(family, n, quantity, m=m)
                 row = Row(family, n, m, quantity, exp.lo, exp.hi, None, SKIPPED,
-                          0.0, f"n > cap {caps[quantity]}")
+                          0.0, f"n > cap {cap}")
             else:
                 row = compute_row(family, n, m, quantity, field_choice, node_budget)
                 if row.status != SKIPPED:

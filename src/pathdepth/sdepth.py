@@ -41,12 +41,14 @@ def size_lex_keys(masks, images) -> np.ndarray:
     """The (size, lex) order of masks under a variable labelling, as int64 keys.
 
     ``images[i]`` is the new label (1..n) of variable i + 1.  Ordering masks
-    of at most MAX_AMBIENT = 24 bits by the returned keys orders them as
+    by the returned keys orders them as
     ``(s.bit_count(), monomial_vars(VarPermutation(images).apply(s)))``
     does.  Bit i adds 2^n - 2^(n - images[i]): the 2^n terms count the
     size, and of two masks of one size the one whose image holds the
     smaller label at their first difference subtracts the larger power of
-    two.  One shift-and-multiply pass per variable.
+    two.  One shift-and-multiply pass per variable.  Exact for n <= 57,
+    where the largest key, (n - 1)·2^n + 1, is below 2^63; past that the
+    int64 keys wrap.
     """
     n = len(images)
     masks = np.asarray(masks, dtype=np.int64)

@@ -171,16 +171,11 @@ def check_tower_identifications(tower: Tower) -> TowerCheckResult:
     return TowerCheckResult(not failures, failures)
 
 
-def _embed(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
-    """The same generators viewed in a larger ambient ring."""
-    return MonomialIdeal(n, ideal.gens)
-
-
 def _check_j3(tower: Tower, failures: list[str]) -> None:
     n = tower.n
     steps = tower.steps
     # U_1 = I_{n-1,3} extended by x_n
-    want_u1 = _embed(line_ideal(n - 1, 3), n).add_generator(1 << (n - 1))
+    want_u1 = minimalize([*line_ideal(n - 1, 3).gens, 1 << (n - 1)], n)
     if steps[0].uj != want_u1:
         failures.append("U_1 is not I_{n-1,3} + (x_n)")
     # terminal identification
@@ -224,7 +219,7 @@ def _check_jn2(tower: Tower, failures: list[str]) -> None:
     n = tower.n
     steps = tower.steps
     # U_1 = I_{n-1,n-2} extended by x_n
-    want_u1 = _embed(line_ideal(n - 1, n - 2), n).add_generator(1 << (n - 1))
+    want_u1 = minimalize([*line_ideal(n - 1, n - 2).gens, 1 << (n - 1)], n)
     if steps[0].uj != want_u1:
         failures.append("U_1 is not I_{n-1,n-2} + (x_n)")
     # U_j = (x_1...x_{n-j-1}, x_{n-j+1}) for j >= 2

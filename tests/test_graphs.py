@@ -1,5 +1,7 @@
 """Path ideal constructors for line and cyclic graphs."""
 
+import itertools
+
 import pytest
 
 from pathdepth.graphs import (cycle_ideal, cycle_ideal_order, cycle_window,
@@ -100,3 +102,29 @@ def test_cycle_ideal_order_rejects_non_cycles():
     six = MonomialIdeal.from_vars(6, [[1, 2], [2, 3], [3, 1],
                                       [4, 5], [5, 6], [6, 4]])
     assert cycle_ideal_order(six) is None
+
+
+def _walks(n):
+    """Edge sets of every path and every cycle on vertices of 0..n-1, as
+    frozensets of edge bitmasks mapped to their vertex count: listed by
+    brute force over vertex orders."""
+    paths, cycles = {}, {}
+    for size in range(2, n + 1):
+        for order in itertools.permutations(range(n), size):
+            edges = [(1 << a) | (1 << b) for a, b in zip(order, order[1:])]
+            paths[frozenset(edges)] = size
+            if size >= 3:
+                cycles[frozenset(edges + [(1 << order[0]) | (1 << order[-1])])] = size
+    return paths, cycles
+
+
+def test_recognisers_match_brute_force_on_six_vertices():
+    # every edge set of K_6, so every graph on at most six vertices
+    n = 6
+    paths, cycles = _walks(n)
+    pairs = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(n), 2)]
+    for chosen in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if chosen >> i & 1]
+        ideal = MonomialIdeal(n, tuple(edges))
+        assert path_ideal_order(ideal) == paths.get(frozenset(edges)), edges
+        assert cycle_ideal_order(ideal) == cycles.get(frozenset(edges)), edges

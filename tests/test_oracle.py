@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pathdepth import oracle
 from pathdepth.cli import run_command
 from pathdepth.ideals import TABLE_MAX_N
 from pathdepth.oracle import (FAMILIES, MATCH, SKIPPED, VIOLATION,
@@ -162,7 +163,7 @@ def test_violation_detection():
 
 @pytest.mark.parametrize("family, sdepth", [("jn2", 7), ("j2", 4), ("j3", 5)])
 def test_default_sdepth_cap_settles_n10(family, sdepth):
-    # exact values inside the stated bounds, under the default caps
+    # exact values inside the stated bounds, with no sdepth cap
     report = verify_suite(family, 10, 10, depth_n_cap=0)
     rows = [r for r in report.rows if r.quantity == "sdepth"]
     assert [(r.computed, r.status) for r in rows] == [(sdepth, WITHIN_BOUNDS)]
@@ -188,6 +189,25 @@ def test_sdepth_rows_past_engine_cap_are_skipped():
     sdepth = [r for r in report.rows if r.quantity == "sdepth"]
     assert [r.status for r in sdepth] == [SKIPPED]
     assert f"cap {TABLE_MAX_N}" in sdepth[0].note
+
+
+def test_rows_past_the_engines_reach_carry_their_reason():
+    # no harness cap by default: each engine refuses n = 17 itself, and
+    # its message is the note
+    report = verify_suite("all", 17, 17)
+    assert report.rows and not report.has_violation
+    assert {r.quantity for r in report.rows} == {"depth", "sdepth"}
+    assert all(r.status == SKIPPED and r.computed is None and
+               r.note == f"ambient n=17 exceeds cap {TABLE_MAX_N}"
+               for r in report.rows)
+
+
+def test_an_engine_fault_is_not_a_skipped_row(monkeypatch):
+    def broken(ideal, field):
+        raise ValueError("broken engine")
+    monkeypatch.setattr(oracle, "depth_quotient", broken)
+    with pytest.raises(ValueError, match="broken engine"):
+        verify_suite("j2", 5, 5)
 
 
 def test_table_shows_bounds_and_dashes():

@@ -827,10 +827,12 @@ def test_search_index_keeps_no_bitmap_per_mask():
     assert peak < 9_000_000
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 10, 16, 17, 24])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 10, 16, 17, 24, 57])
 def test_size_lex_key_orders_like_the_tuple_key(n):
     rng = random.Random(n)
-    masks = list(range(1 << n)) if n <= 10 else rng.sample(range(1 << n), 3000)
+    # the full mask has the largest key, (n - 1)·2^n + 1
+    masks = list(range(1 << n)) if n <= 10 else \
+        [(1 << n) - 1, *rng.sample(range(1 << n), 3000)]
     for a in range(4):
         images = list(range(1, n + 1))
         random.Random(a).shuffle(images)
