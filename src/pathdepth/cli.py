@@ -220,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification harness")
     p.add_argument("--suite", default="all", choices=["all", *FAMILIES])
-    p.add_argument("--n-min", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=9)
+    p.add_argument("--n-min", type=_positive_int, default=3)
+    p.add_argument("--n-max", type=_positive_int, default=9)
     p.add_argument("--field", choices=FIELDS, default="q")
     p.add_argument("--budget-nodes", type=_positive_int)
     p.add_argument("--depth-cap", type=_nonnegative_int)

@@ -16,8 +16,8 @@ import numpy as np
 
 # All engines enumerate subsets of [n]; keep the ambient size bounded.
 MAX_AMBIENT = 24
-# Both engines tabulate all 2^n masks (MonomialIdeal.lcm_table), so their
-# n stops here.
+# Both engines tabulate all 2^n masks (depth: MonomialIdeal.lcm_table;
+# sdepth: MonomialIdeal.member_table), so their n stops here.
 TABLE_MAX_N = 16
 
 

@@ -1,8 +1,10 @@
 """Exact Stanley depth of J/I via interval partitions of its characteristic poset.
 
 The characteristic poset holds the variable subsets σ with x^σ in J but
-not in I (module_table), ordered by inclusion; one CharPoset is both the
-poset and the search's index over it.  A Stanley decomposition corresponds
+not in I (module_table), ordered by inclusion.  A CharPoset holds the
+poset and, built on first need, the search's index over its elements of
+size <= k, the only ones a decision at k reads; it is rebuilt only when a
+later decision asks for a higher level.  A Stanley decomposition corresponds
 to a partition of this poset into intervals [σ,τ]; the Stanley depth is
 the best achievable minimum of |τ|.
 
@@ -72,25 +74,21 @@ def module_table(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal) -> np.ndarray:
 
 
 class CharPoset:
-    """Subsets σ with x^σ ∈ J \\ I, as bitmasks, ordered by inclusion, with
-    all that the cover search needs of them and that does not depend on k.
+    """Subsets σ with x^σ ∈ J \\ I, as bitmasks, ordered by inclusion, and
+    the search index over them.
 
     Made only from a pair I ⊆ J with I ≠ J (else ValueError), so it is
     never empty and always convex (an up-set meets a down-set): an interval
     lies in it iff its ends do.  Elements are numbered in (size, lex)
     order, so each size is a run of numbers; ``elements`` lists them,
-    ``masks`` is that list as an int64 array, and ``position`` maps each
-    of the 2^n masks to its number (-1 off the poset).  ``up[i]`` and
-    ``down[i]`` are bitmaps over the numbers of the elements above and
-    below element i (itself included), ``levels[l]`` that of the elements
-    of size l.
+    ``masks`` is that list as an int64 array, ``position`` maps each of
+    the 2^n masks to its number (-1 off the poset) and ``levels[l]`` is
+    the bitmap over the numbers of the elements of size l.  These are all
+    the constructor builds.
 
-    ``up`` and ``down`` come from a subset zeta transform restricted to the
-    poset: per variable b, ``down[s] |= down[s - b]`` and ``up[s - b] |=
-    up[s]`` over the pairs (s - b, s) with both ends in it.  By convexity
-    every mask on the zeta's path between two elements is an element too,
-    so the result is exact, and ``position``, the one table over all 2^n
-    masks, holds an int64 per mask, not a bitmap.
+    The search index, ``up`` and ``down``, covers only the elements of
+    size <= ``indexed``, the levels the decisions so far have read: see
+    ``search_index``.
     """
 
     def __init__(self, j_ideal: MonomialIdeal, i_ideal: MonomialIdeal):
@@ -99,31 +97,70 @@ class CharPoset:
         keys = size_lex_keys(masks, range(1, n + 1))
         self.masks = masks = masks[np.argsort(keys)]
         self.elements = masks.tolist()
-        size = len(self.elements)
         # a key's 2^n terms count its mask's size: size = ceil(key / 2^n)
         counts = np.bincount(-(-keys >> n), minlength=n + 1).tolist()
         ends = np.cumsum(counts).tolist()
         self.levels = [(1 << e) - (1 << (e - c)) for e, c in zip(ends, counts)]
         self.position = pos = np.full(1 << n, -1, dtype=np.int64)
-        pos[masks] = np.arange(size)
-        # while it is built, up[i] carries bit `size` as well, so every OR
-        # makes an int of its final length and the allocator reuses the one
-        # it frees; ints that grow pass by pass fragment the heap
-        top = 1 << size
-        self.up = up = [top | 1 << i for i in range(size)]
-        self.down = down = [1 << i for i in range(size)]
-        for b in range(n):
-            hi = np.flatnonzero(masks >> b & 1)
-            lo = pos[masks[hi] ^ (1 << b)]
-            pair = lo >= 0
-            for s, t in zip(lo[pair].tolist(), hi[pair].tolist()):
-                down[t] |= down[s]
-                up[s] |= up[t]
-        for i in range(size):
-            up[i] ^= top
+        pos[masks] = np.arange(len(masks))
+        self.indexed = -1
+        self.up: list[int] = []
+        self.down: list[int] = []
+
+    def search_index(self, k: int) -> tuple[list[int], list[int]]:
+        """``up`` and ``down`` over the elements of size <= k, all that a
+        decision at k reads: the numbering is size-major, so they are its
+        first R numbers, and ``up[i]`` and ``down[i]`` are bitmaps over
+        those of the elements above and below element i (itself included).
+
+        Built on first need, and rebuilt only for a k above ``indexed``: an
+        index of a higher level serves k as well, since every reader ANDs
+        ``up[s]`` with a bitmap inside the prefix (a level, a ``down[t]``
+        or the search state).  ``search_index(n)`` indexes the whole poset.
+
+        A subset zeta transform restricted to the prefix: per variable b,
+        ``down[s] |= down[s - b]`` and ``up[s - b] |= up[s]`` over the
+        pairs (s - b, s) with both ends in it.  The prefix is convex, so
+        every mask on the zeta's path between two of its elements is in it,
+        and the result is exact.
+        """
+        if k > self.indexed:
+            ranked = sum(level.bit_count() for level in self.levels[:k + 1])
+            masks, pos = self.masks[:ranked], self.position
+            # while it is built, up[i] carries bit `ranked` as well, so every
+            # OR makes an int of its final length and the allocator reuses
+            # the one it frees; ints that grow pass by pass fragment the heap
+            top = 1 << ranked
+            up = [top | 1 << i for i in range(ranked)]
+            down = [1 << i for i in range(ranked)]
+            for b in range(self.n):
+                hi = np.flatnonzero(masks >> b & 1)
+                lo = pos[masks[hi] ^ (1 << b)]
+                pair = lo >= 0
+                for s, t in zip(lo[pair].tolist(), hi[pair].tolist()):
+                    down[t] |= down[s]
+                    up[s] |= up[t]
+            for i in range(ranked):
+                up[i] ^= top
+            self.up, self.down, self.indexed = up, down, k
+        return self.up, self.down
 
     def maximal_elements(self) -> list[int]:
-        return sorted(s for i, s in enumerate(self.elements) if self.up[i] == 1 << i)
+        """The elements with no other above them, ascending: by convexity,
+        those with no element one variable above.  One shift and AND per
+        variable over the 2^n membership table (module_table) as one
+        2^n-bit int: bit s of ``member >> 2^b`` is whether s + 2^b is in
+        the poset, which is s plus variable b where ``low`` keeps only the
+        masks without it."""
+        n = self.n
+        member = int.from_bytes(np.packbits(self.position >= 0, bitorder="little")
+                                .tobytes(), "little")
+        covered, low = 0, (1 << (1 << n >> 1)) - 1
+        for b in reversed(range(n)):
+            covered |= member >> (1 << b) & low
+            # the masks without variable b - 1, from those without b
+            low ^= low << (1 << b >> 1)
+        return list(bits(member & ~covered))
 
 
 @dataclass(frozen=True)
@@ -296,10 +333,11 @@ class _CoverSearch:
         sizes = [m.bit_count() for m in self.levels]
         self.n_low, self.n_ranked = sum(sizes[:k]), sum(sizes)
         self.forced = forced_intervals(sizes, k)
+        self.up, self.down = poset.search_index(k)
         # per low element s, the number of size-k tops t with [s,t] in the
         # poset: as the poset is convex, every size-k element above s
         tops = self.levels[k]
-        counts = [(u & tops).bit_count() for u in poset.up[:self.n_low]]
+        counts = [(u & tops).bit_count() for u in self.up[:self.n_low]]
         self.root_dead = not all(counts)
         self.start_planes = bit_planes(counts)
         self.failed: set[int] = set()
@@ -386,7 +424,7 @@ class _CoverSearch:
         self.rank = self._ranks(a)
         self.rank_planes = None if a == 0 else bit_planes(self.rank)
         self.planes = planes = self.start_planes[:]
-        order, up, down = self.poset.elements, self.poset.up, self.poset.down
+        order, up, down = self.poset.elements, self.up, self.down
         # the tops are the size-k elements, base, base + 1, ...: a state
         # lists its live tops as offsets from base, in bit order under
         # attempt 0 and sorted by their ranks after that
@@ -394,10 +432,12 @@ class _CoverSearch:
         top_rank = None if a == 0 else self.rank[base:].tolist().__getitem__
         # per open state: its uncovered bitmap, branch and an iterator over
         # its untried live candidate tops in rank order; placed[d] is the
-        # (branch, top) that leads from stack[d] to stack[d+1]
+        # (branch, top) that leads from stack[d] to stack[d+1].  A state's
+        # bitmap holds only the elements of size <= k: no larger one is
+        # ever covered
         stack: list[tuple] = []
         placed: list[tuple[int, int]] = []
-        uncovered, walked = (1 << len(order)) - 1, 0
+        uncovered, walked = (1 << self.n_ranked) - 1, 0
         while True:
             if self.nodes == stop:
                 raise BudgetExceeded
@@ -450,11 +490,14 @@ def certificate_from(poset: CharPoset, intervals: list[Interval],
     intervals, then every element of the poset they leave uncovered as a
     singleton, claiming the smallest top (k if there are no intervals at
     all).  The intervals lie in the poset and do not overlap, as the
-    search's do; an empty cover gives the all-singletons certificate."""
-    up, down, pos = poset.up, poset.down, poset.position
+    search's do; an empty cover gives the all-singletons certificate.  It
+    needs the search index only up to the cover's largest top."""
     uncovered = (1 << len(poset.elements)) - 1
-    for iv in intervals:
-        uncovered &= ~(up[pos[iv.lower]] & down[pos[iv.upper]])
+    if intervals:
+        up, down = poset.search_index(max(iv.upper.bit_count() for iv in intervals))
+        pos = poset.position
+        for iv in intervals:
+            uncovered &= ~(up[pos[iv.lower]] & down[pos[iv.upper]])
     singles = [Interval(s, s) for s in sorted(poset.elements[i] for i in bits(uncovered))]
     all_ivs = intervals + singles
     claimed = min((iv.upper.bit_count() for iv in all_ivs), default=k)

@@ -186,6 +186,17 @@ def test_verify_rejects_empty_n_range(n_min, n_max, capsys):
         f"error: --n-min {n_min} exceeds --n-max {n_max}"
 
 
+@pytest.mark.parametrize("n_min, n_max", [("-5", "-2"), ("0", "4"), ("3", "0"),
+                                          ("x", "4")])
+def test_verify_n_range_must_be_positive(n_min, n_max, capsys):
+    # a range with no positive n would check nothing, print an empty table
+    # and pass
+    assert run_command(["verify", "--n-min", n_min, "--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a positive integer" in captured.err
+
+
 def test_verify_refuses_n_max_past_every_ideal(capsys):
     # no ideal exists past MAX_AMBIENT = 24 variables, so a larger --n-max
     # would only print SKIPPED rows, n - 1 per n for the line family

@@ -313,7 +313,7 @@ def _live_tops(search):
     """Per low element s of a decision, the bitmap of its candidate tops:
     by convexity, every size-k element above s."""
     tops = search.levels[search.k]
-    return [u & tops for u in search.poset.up[:search.n_low]]
+    return [u & tops for u in search.up[:search.n_low]]
 
 
 def _bottom_up_depth(j, i, budget=None):
@@ -508,7 +508,7 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
 
     def rescanned(self, uncovered, walked):
         tops = self.levels[self.k]
-        live = {i: (self.poset.up[i] & tops & uncovered).bit_count()
+        live = {i: (self.up[i] & tops & uncovered).bit_count()
                 for i in range(self.n_low) if uncovered >> i & 1}
         gives_up = (uncovered in self.failed
                     or _state_forced_total(self, uncovered) is None)
@@ -735,11 +735,12 @@ def _is_convex(elements, n):
                    for m in range(1 << n))
 
 
-def test_search_index_matches_pair_scan():
+def _index_pairs():
+    """The random pairs of _random_pairs(10, 5), then small pairs of any
+    shape: every convex set is some J \\ I (J its up-closure, I that minus
+    the set), so these stand for them all."""
     rng = random.Random(11)
     pairs = _random_pairs(10, 5)
-    # small pairs of any shape too: every convex set is some J \ I (J its
-    # up-closure, I that minus the set), so these stand for them all
     while len(pairs) < 30:
         n = rng.randint(1, 6)
         j = MonomialIdeal(n, tuple(rng.randrange(1 << n)
@@ -748,18 +749,23 @@ def test_search_index_matches_pair_scan():
                                    for _ in range(rng.randint(0, 4))))
         if i != j:
             pairs.append((j, i))
-    for j, i in pairs:
+    return pairs
+
+
+def test_search_index_matches_pair_scan():
+    for j, i in _index_pairs():
         poset = build_char_poset(j, i)
+        up, down = poset.search_index(poset.n)
         elements = set(poset.elements)
         assert _is_convex(elements, poset.n)
         assert elements == {s for s in range(1 << poset.n)
                             if j.contains(s) and not i.contains(s)}
         for a, s in enumerate(poset.elements):
             assert poset.position[s] == a
-            assert poset.up[a] == sum(1 << b for b, t in enumerate(poset.elements)
-                                      if divides(s, t))
-            assert poset.down[a] == sum(1 << b for b, t in enumerate(poset.elements)
-                                        if divides(t, s))
+            assert up[a] == sum(1 << b for b, t in enumerate(poset.elements)
+                                if divides(s, t))
+            assert down[a] == sum(1 << b for b, t in enumerate(poset.elements)
+                                  if divides(t, s))
         assert poset.maximal_elements() == sorted(
             s for s in poset.elements
             if not any(t != s and divides(s, t) for t in poset.elements))
@@ -771,6 +777,28 @@ def test_search_index_matches_pair_scan():
                     if t.bit_count() == k and divides(s, t)
                     and all(m in elements for m in Interval(s, t).members()))
                 for s in low]
+
+
+def test_level_index_is_the_full_index_on_its_prefix():
+    # the index of level L is the full one restricted to the elements of
+    # size <= L, and a later request for a level at or below the one built
+    # reuses it
+    for j, i in _index_pairs():
+        full = build_char_poset(j, i)
+        full_up, full_down = full.search_index(full.n)
+        for level in range(full.n + 1):
+            poset = build_char_poset(j, i)
+            up, down = poset.search_index(level)
+            ranked = sum(m.bit_count() for m in poset.levels[:level + 1])
+            prefix = (1 << ranked) - 1
+            assert poset.indexed == level
+            assert up == [u & prefix for u in full_up[:ranked]]
+            assert down == full_down[:ranked]
+            for lower in range(level + 1):
+                assert poset.search_index(lower)[0] is up
+        # the elements with nothing but themselves above them in the index
+        assert full.maximal_elements() == sorted(
+            s for a, s in enumerate(full.elements) if full_up[a] == 1 << a)
 
 
 def _list_zeta(values, n, upward):
@@ -809,17 +837,19 @@ def _full_lattice_index(poset):
 def test_search_index_matches_the_full_lattice_zeta(family):
     for n in range(8, 13):
         poset = build_char_poset(*family_module(family, n))
+        up, down = poset.search_index(n)
         assert (poset.elements, poset.position.tolist(), poset.levels,
-                poset.up, poset.down) == _full_lattice_index(poset), (family, n)
+                up, down) == _full_lattice_index(poset), (family, n)
 
 
 def test_search_index_keeps_no_bitmap_per_mask():
     # cyc:14:3 has 5071 elements in 2^14 masks: two tables of bitmaps over
     # all masks, one per direction, peaked near 11.8 MB; up and down
-    # themselves take about 6 MB
+    # themselves take about 6 MB.  The full index is built inside the window
     tracemalloc.start()
     try:
         poset = CharPoset(MonomialIdeal.whole_ring(14), cycle_ideal(14, 3))
+        poset.search_index(14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -901,6 +931,21 @@ def test_decision_keeps_no_cube_per_candidate():
     assert validate_decomposition(certificate_from(poset, cover, 6),
                                   line_ideal(12, 1), MonomialIdeal.zero(12))
     assert peak < 4_000_000
+
+
+def test_max14_keeps_its_index_to_the_levels_it_decides():
+    # max:14 decides only k = U = 7, so the index covers the 9907 elements
+    # of size <= 7 of its 16383: the traced peak is about 30 MB with the
+    # level-7 index and 66.2 MB with one over the whole poset
+    j, i = line_ideal(14, 1), MonomialIdeal.zero(14)
+    tracemalloc.start()
+    try:
+        res = stanley_depth(j, i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.sdepth, res.exact) == (7, True)
+    assert peak < 45_000_000
 
 
 def test_pairs_past_the_table_cap_are_refused():
