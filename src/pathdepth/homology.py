@@ -90,7 +90,7 @@ def _pair_off(start: list[int], alive: bytearray, vertices: list[int]) -> None:
                 work.append(x)
 
 
-def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
+def reduce_faces(faces: list[int] | np.ndarray) -> dict[int, list[int]]:
     """Cells of a complex left after a star collapse, coreductions and
     free-face collapses, keyed by bit count.
 
@@ -107,7 +107,7 @@ def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
     left have the homology of Δ over every field, and one sweep over them
     finishes the reduction.
     """
-    masks = np.array(faces, dtype=np.int64)
+    masks = np.asarray(faces, dtype=np.int64)
     if len(masks) and (masks[0] or (masks[1:] <= masks[:-1]).any()):
         raise ValueError("face list does not strictly ascend from the empty face")
     union = int(np.bitwise_or.reduce(masks))
@@ -130,16 +130,16 @@ def reduce_faces(faces: list[int]) -> dict[int, list[int]]:
     return cells
 
 
-def reduced_homology_ranks(faces, field) -> dict[int, int]:
+def reduced_homology_ranks(faces: list[int] | np.ndarray, field) -> dict[int, int]:
     """The nonzero ranks of reduced homology H̃_d over the given field,
     keyed by d.
 
-    faces lists the complex as ascending masks, each face once, starting at
-    the empty face and closed under subsets; the empty list is the void
-    complex.  The list is taken as it is: reduce_faces refuses one out of
-    order, with a repeat or without the empty face, and closure is the
-    producer's to keep.  Only the cells left by reduce_faces reach the rank
-    step.
+    faces lists the complex as ascending int masks, as a list or an int64
+    array, each face once, starting at the empty face and closed under
+    subsets; an empty one is the void complex.  It is taken as it is (an
+    int64 array without a copy): reduce_faces refuses one out of order,
+    with a repeat or without the empty face, and closure is the producer's
+    to keep.  Only the cells left by reduce_faces reach the rank step.
     """
     cells = reduce_faces(faces)
     if not cells:

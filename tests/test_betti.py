@@ -6,6 +6,7 @@ import random
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pathdepth import betti, homology
@@ -119,7 +120,6 @@ def test_field_can_change_betti_numbers():
 
 def test_rank_helpers_agree():
     rng = random.Random(7)
-    import numpy as np
     for _ in range(25):
         mat = np.array([[rng.randint(-3, 3) for _ in range(4)]
                         for _ in range(4)], dtype=np.int64)
@@ -377,6 +377,44 @@ def test_ranked_shapes_per_benchmark_instance(monkeypatch):
         hochster_betti(ideal, field)
     # the traced depth_n12 pass reads betti.sigma_ranked = 28
     assert ranked == [11, 1, 6, 10]
+
+
+def test_delta_filter_lists_the_subset_walk(monkeypatch):
+    # a key per mask makes every connected lcm-closed σ a new shape, and
+    # the face lists are only recorded, so no complex is reduced
+    seen, faces_of = [], {}
+    monkeypatch.setattr(betti, "_shape", lambda mask, gens: seen.append(mask) or mask)
+
+    def recording(faces, field):
+        faces_of[seen[-1]] = faces
+        return {}
+
+    monkeypatch.setattr(betti, "reduced_homology_ranks", recording)
+    for ideal in [*_family_ideals(12), *_random_small_ideals(300, seed=23)]:
+        seen.clear()
+        faces_of.clear()
+        hochster_betti(ideal)
+        lcm = ideal.lcm_table().tolist()
+        connected = [s for s in _lcm_closed(ideal)
+                     if len(_pieces([g for g in ideal.gens if g & ~s == 0])) == 1]
+        assert sorted(faces_of) == connected, str(ideal)
+        for sigma, faces in faces_of.items():
+            assert faces.dtype == np.int64
+            # the reference: a Python walk over the submasks of σ
+            assert faces.tolist() == [sub for sub in subsets(sigma) if not lcm[sub]], \
+                (str(ideal), sigma)
+
+
+def test_face_lists_hold_no_list_over_all_masks():
+    # a Python list of the 2^16 lcm entries took the peak to 3.1 MB
+    tracemalloc.start()
+    try:
+        table = hochster_betti(cycle_ideal(16, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.projective_dimension() == 8
+    assert peak < 2_000_000
 
 
 def test_rows_per_sigma_are_shared():
