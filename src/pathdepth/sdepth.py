@@ -2,11 +2,12 @@
 
 The characteristic poset holds the variable subsets σ with x^σ in J but
 not in I (module_table), ordered by inclusion.  A CharPoset holds the
-poset and, built on first need, the search's index over its elements of
-size <= k, the only ones a decision at k reads; it is rebuilt only when a
-later decision asks for a higher level.  A Stanley decomposition corresponds
-to a partition of this poset into intervals [σ,τ]; the Stanley depth is
-the best achievable minimum of |τ|.
+poset and, built on first need, the search's index: over the elements of
+size <= k, the only ones a decision at k reads, the bitmaps below its
+size-k tops and above the elements it branches on.  It is rebuilt only
+when a later decision asks for a higher level.  A Stanley decomposition
+corresponds to a partition of this poset into intervals [σ,τ]; the
+Stanley depth is the best achievable minimum of |τ|.
 
 The decision "sdepth >= k" is solved as an exact-cover problem: every
 poset element of size < k must be covered by exactly one interval whose
@@ -28,6 +29,7 @@ import json
 import random
 from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -86,9 +88,9 @@ class CharPoset:
     the bitmap over the numbers of the elements of size l.  These are all
     the constructor builds.
 
-    The search index, ``up`` and ``down``, covers only the elements of
-    size <= ``indexed``, the levels the decisions so far have read: see
-    ``search_index``.
+    The search index covers only the elements of size <= ``indexed``, the
+    levels the decisions so far have read, and holds only what they read:
+    see ``search_index``.
     """
 
     def __init__(self, j_ideal: MonomialIdeal, i_ideal: MonomialIdeal):
@@ -103,47 +105,57 @@ class CharPoset:
         self.levels = [(1 << e) - (1 << (e - c)) for e, c in zip(ends, counts)]
         self.position = pos = np.full(1 << n, -1, dtype=np.int64)
         pos[masks] = np.arange(len(masks))
-        self.indexed = -1
-        self.up: list[int] = []
-        self.down: list[int] = []
+        self.indexed, self.prefix = -1, 0
+        self.has: list[int] = []
+        self.ups: dict[int, int] = {}
+        self.downs: tuple[int, list[int]] = (-1, [])
 
-    def search_index(self, k: int) -> tuple[list[int], list[int]]:
-        """``up`` and ``down`` over the elements of size <= k, all that a
-        decision at k reads: the numbering is size-major, so they are its
-        first R numbers, and ``up[i]`` and ``down[i]`` are bitmaps over
-        those of the elements above and below element i (itself included).
+    def search_index(self, k: int) -> tuple[Callable[[int], int], list[int]]:
+        """``(up, down)``, what a decision at k reads, as bitmaps over the
+        prefix of the elements of size <= ``indexed`` (>= k), the first
+        numbers of the size-major numbering: ``up`` is the method below, and
+        ``down[t]`` holds the elements below the t-th element of size k, a
+        top of the decision (itself included).
 
-        Built on first need, and rebuilt only for a k above ``indexed``: an
-        index of a higher level serves k as well, since every reader ANDs
-        ``up[s]`` with a bitmap inside the prefix (a level, a ``down[t]``
-        or the search state).  ``search_index(n)`` indexes the whole poset.
+        ``has[b]`` holds the prefix elements with variable b, one
+        ``np.packbits`` per variable (``bit_planes``), so ``down[t]`` is the
+        AND of ``prefix ^ has[b]`` over the b not in t, built one variable
+        at a time over the tops without it.  ``downs`` keeps the last
+        level's.
 
-        A subset zeta transform restricted to the prefix: per variable b,
-        ``down[s] |= down[s - b]`` and ``up[s - b] |= up[s]`` over the
-        pairs (s - b, s) with both ends in it.  The prefix is convex, so
-        every mask on the zeta's path between two of its elements is in it,
-        and the result is exact.
+        The prefix is rebuilt only for a k above ``indexed``, which clears
+        the memo of ``up``: an ``up`` over a shorter prefix lacks the new
+        elements.  A longer prefix serves k as well, since every reader ANDs
+        with a bitmap inside k's prefix (a level, a ``down`` or the search
+        state), and a ``down`` holds nothing above its level.
         """
         if k > self.indexed:
             ranked = sum(level.bit_count() for level in self.levels[:k + 1])
-            masks, pos = self.masks[:ranked], self.position
-            # while it is built, up[i] carries bit `ranked` as well, so every
-            # OR makes an int of its final length and the allocator reuses
-            # the one it frees; ints that grow pass by pass fragment the heap
-            top = 1 << ranked
-            up = [top | 1 << i for i in range(ranked)]
-            down = [1 << i for i in range(ranked)]
-            for b in range(self.n):
-                hi = np.flatnonzero(masks >> b & 1)
-                lo = pos[masks[hi] ^ (1 << b)]
-                pair = lo >= 0
-                for s, t in zip(lo[pair].tolist(), hi[pair].tolist()):
-                    down[t] |= down[s]
-                    up[s] |= up[t]
-            for i in range(ranked):
-                up[i] ^= top
-            self.up, self.down, self.indexed = up, down, k
-        return self.up, self.down
+            self.has = bit_planes(self.masks[:ranked])
+            self.indexed, self.prefix, self.ups = k, (1 << ranked) - 1, {}
+        built, down = self.downs
+        if built != k:
+            base = sum(level.bit_count() for level in self.levels[:k])
+            tops = self.masks[base:base + self.levels[k].bit_count()]
+            down = [self.prefix] * len(tops)
+            for b, has in enumerate(self.has):
+                miss = self.prefix ^ has
+                for t in np.flatnonzero((tops >> b & 1) == 0).tolist():
+                    down[t] &= miss
+            self.downs = (k, down)
+        return self.up, down
+
+    def up(self, s: int) -> int:
+        """The bitmap of the indexed elements above element s (itself
+        included): the AND of ``has[b]`` over the variables b of s,
+        memoised in ``ups`` until the index is rebuilt."""
+        above = self.ups.get(s)
+        if above is None:
+            above = self.prefix
+            for b in bits(self.elements[s]):
+                above &= self.has[b]
+            self.ups[s] = above
+        return above
 
     def maximal_elements(self) -> list[int]:
         """The elements with no other above them, ascending: by convexity,
@@ -176,6 +188,17 @@ class Interval:
 
     def members(self):
         return (self.lower | sub for sub in subsets(self.upper ^ self.lower))
+
+    @classmethod
+    def points(cls, masks) -> list[Interval]:
+        """The intervals [s,s] of ``masks``, made without the divides check
+        of ``__post_init__``, which every [s,s] passes."""
+        points, new = [], object.__new__
+        for s in masks:
+            point = new(cls)
+            point.__dict__.update(lower=s, upper=s)
+            points.append(point)
+        return points
 
 
 @dataclass
@@ -335,10 +358,15 @@ class _CoverSearch:
         self.forced = forced_intervals(sizes, k)
         self.up, self.down = poset.search_index(k)
         # per low element s, the number of size-k tops t with [s,t] in the
-        # poset: as the poset is convex, every size-k element above s
-        tops = self.levels[k]
-        counts = [(u & tops).bit_count() for u in self.up[:self.n_low]]
-        self.root_dead = not all(counts)
+        # poset: as the poset is convex, every size-k element above s, which
+        # a superset sum over the 2^n masks of the tops gives at s's mask
+        above = np.zeros(1 << poset.n, dtype=np.int64)
+        above[poset.masks[self.n_low:self.n_ranked]] = 1
+        for b in range(poset.n):
+            pairs = above.reshape(-1, 2, 1 << b)
+            pairs[:, 0] += pairs[:, 1]
+        counts = above[poset.masks[:self.n_low]]
+        self.root_dead = not counts.all()
         self.start_planes = bit_planes(counts)
         self.failed: set[int] = set()
         # of the current attempt: the live-top planes, the dense ranks of
@@ -420,21 +448,21 @@ class _CoverSearch:
         cube is cleared, from the live-top planes with a borrow chain;
         undoing it adds the same W back with a carry chain, recomputed from
         the stacked state it was placed on, so a placement keeps only
-        (s, t)."""
+        (s, t).  A state keeps ``up(s)`` of its branch s, asked for once."""
         self.rank = self._ranks(a)
         self.rank_planes = None if a == 0 else bit_planes(self.rank)
         self.planes = planes = self.start_planes[:]
         order, up, down = self.poset.elements, self.up, self.down
         # the tops are the size-k elements, base, base + 1, ...: a state
-        # lists its live tops as offsets from base, in bit order under
-        # attempt 0 and sorted by their ranks after that
+        # lists its live tops as offsets t from base, the index of down[t],
+        # in bit order under attempt 0 and sorted by their ranks after that
         base, top_level = self.n_low, self.levels[self.k]
         top_rank = None if a == 0 else self.rank[base:].tolist().__getitem__
-        # per open state: its uncovered bitmap, branch and an iterator over
-        # its untried live candidate tops in rank order; placed[d] is the
-        # (branch, top) that leads from stack[d] to stack[d+1].  A state's
-        # bitmap holds only the elements of size <= k: no larger one is
-        # ever covered
+        # per open state: its uncovered bitmap, branch, the branch's up and
+        # an iterator over its untried live candidate tops in rank order;
+        # placed[d] is the (branch, top offset) that leads from stack[d] to
+        # stack[d+1].  A state's bitmap holds only the elements of size
+        # <= k: no larger one is ever covered
         stack: list[tuple] = []
         placed: list[tuple[int, int]] = []
         uncovered, walked = (1 << self.n_ranked) - 1, 0
@@ -444,17 +472,18 @@ class _CoverSearch:
             self.nodes += 1
             branch = self._visit(uncovered, walked)
             if branch is None:
-                return [Interval(order[s], order[t]) for s, t in placed]
+                return [Interval(order[s], order[base + t]) for s, t in placed]
             if branch >= 0:
-                tops = bits((up[branch] & top_level & uncovered) >> base)
+                above = up(branch)
+                tops = bits((above & top_level & uncovered) >> base)
                 if top_rank is not None:
                     tops = iter(sorted(tops, key=top_rank))
-                stack.append((uncovered, branch, tops))
+                stack.append((uncovered, branch, above, tops))
             while stack:
-                uncovered, branch, left = stack[-1]
+                uncovered, branch, above, left = stack[-1]
                 if len(placed) == len(stack):
                     # W = down[t] & (uncovered & ~cube), cube = up[s] & down[t]
-                    carry = down[placed.pop()[1]] & uncovered & ~up[branch]
+                    carry = down[placed.pop()[1]] & uncovered & ~above
                     j = 0
                     while carry:
                         p = planes[j]
@@ -462,8 +491,7 @@ class _CoverSearch:
                         carry &= p
                         j += 1
                 for t in left:
-                    top = base + t
-                    cube = up[branch] & down[top]
+                    cube = above & down[t]
                     if cube & uncovered == cube:
                         break
                 else:
@@ -471,14 +499,14 @@ class _CoverSearch:
                     stack.pop()
                     continue
                 uncovered &= ~cube
-                walked = borrow = down[top] & uncovered
+                walked = borrow = down[t] & uncovered
                 j = 0
                 while borrow:
                     p = planes[j]
                     planes[j] = p ^ borrow
                     borrow &= ~p
                     j += 1
-                placed.append((branch, top))
+                placed.append((branch, t))
                 break
             else:
                 return None
@@ -486,22 +514,33 @@ class _CoverSearch:
 
 def certificate_from(poset: CharPoset, intervals: list[Interval],
                      k: int) -> StanleyCertificate:
-    """The certificate of a cover, as sdepth_at_least returns it: its
-    intervals, then every element of the poset they leave uncovered as a
-    singleton, claiming the smallest top (k if there are no intervals at
-    all).  The intervals lie in the poset and do not overlap, as the
-    search's do; an empty cover gives the all-singletons certificate.  It
-    needs the search index only up to the cover's largest top."""
-    uncovered = (1 << len(poset.elements)) - 1
+    """The certificate of a cover of decision k, as sdepth_at_least returns
+    it: its intervals, then every element of the poset they leave uncovered
+    as a singleton, claiming the smallest top.  The intervals lie in the
+    poset, do not overlap and have tops of size k, as the search's do (a
+    top of another size is refused with ValueError); an empty cover gives
+    the all-singletons certificate and needs no search index.  The
+    uncovered masks come sorted from one numpy sort, and the smallest top
+    is k or the size of the lowest uncovered element."""
+    elements = poset.elements
+    uncovered = (1 << len(elements)) - 1
     if intervals:
-        up, down = poset.search_index(max(iv.upper.bit_count() for iv in intervals))
+        up, down = poset.search_index(k)
         pos = poset.position
+        base = sum(level.bit_count() for level in poset.levels[:k])
         for iv in intervals:
-            uncovered &= ~(up[pos[iv.lower]] & down[pos[iv.upper]])
-    singles = [Interval(s, s) for s in sorted(poset.elements[i] for i in bits(uncovered))]
-    all_ivs = intervals + singles
-    claimed = min((iv.upper.bit_count() for iv in all_ivs), default=k)
-    return StanleyCertificate(all_ivs, claimed)
+            t = int(pos[iv.upper]) - base
+            if not 0 <= t < len(down):
+                raise ValueError(f"interval top {iv.upper} is no element of size {k}")
+            uncovered &= ~(up(int(pos[iv.lower])) & down[t])
+    left = np.flatnonzero(np.unpackbits(np.frombuffer(
+        uncovered.to_bytes(len(elements) // 8 + 1, "little"), dtype=np.uint8),
+        bitorder="little"))
+    singles = Interval.points(np.sort(poset.masks[left]).tolist())
+    # the elements are numbered size-major, so left[0] has the least size
+    claimed = min(k if intervals else poset.n,
+                  elements[left[0]].bit_count() if len(left) else poset.n)
+    return StanleyCertificate(intervals + singles, claimed)
 
 
 def _check_budget(budget) -> None:

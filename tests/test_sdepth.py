@@ -16,7 +16,7 @@ from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
                               check_table_n, divides, monomial, monomial_vars)
 from pathdepth.oracle import family_module
-from pathdepth.sdepth import (BudgetExceeded, CharPoset, Interval, SdepthResult,
+from pathdepth.sdepth import (BudgetExceeded, Interval, SdepthResult,
                               StanleyCertificate, _CoverSearch, bit_planes,
                               build_char_poset, certificate_from,
                               forced_intervals, least, luby, sdepth_at_least,
@@ -52,6 +52,36 @@ def test_interval_members():
     assert sorted(iv.members()) == [0b0001, 0b0011, 0b1001, 0b1011]
     with pytest.raises(ValueError):
         Interval(0b10, 0b01)
+
+
+def test_only_point_intervals_skip_the_divides_check():
+    # certificate_from makes its singletons without the check; an interval
+    # made or read from outside is still refused unless lower divides upper
+    points = Interval.points([0, 0b101, 1 << 15])
+    assert points == [Interval(s, s) for s in (0, 0b101, 1 << 15)]
+    assert all(type(p) is Interval for p in points)
+    for lower, upper in [(0b10, 0b01), (0b11, 0b01), (0b100, 0)]:
+        with pytest.raises(ValueError, match="lower must divide upper"):
+            Interval(lower, upper)
+        data = {"sdepth": 1, "intervals": [
+            {"lower": list(monomial_vars(0b1)), "upper": [1, 2]},
+            {"lower": list(monomial_vars(lower)), "upper": list(monomial_vars(upper))}]}
+        with pytest.raises(ValueError, match="lower must divide upper"):
+            StanleyCertificate.from_dict(data, 3)
+
+
+def test_certificate_from_refuses_a_top_of_another_size():
+    j, i = MonomialIdeal.whole_ring(6), cycle_ideal(6, 3)
+    poset = build_char_poset(j, i)
+    cover, _ = sdepth_at_least(poset, 3)
+    assert cover
+    for k in (2, 4):
+        with pytest.raises(ValueError, match=f"no element of size {k}"):
+            certificate_from(poset, cover, k)
+    outside = Interval(0b111, 0b111)
+    assert outside.upper not in poset.elements
+    with pytest.raises(ValueError, match="no element of size 3"):
+        certificate_from(poset, [outside], 3)
 
 
 def test_sdepth_cycle_anchor():
@@ -311,9 +341,9 @@ def _assert_pinned_and_refuted(j, i, sdepth, nodes, digest):
 
 def _live_tops(search):
     """Per low element s of a decision, the bitmap of its candidate tops:
-    by convexity, every size-k element above s."""
+    by convexity, every size-k element above s, read off the search's up."""
     tops = search.levels[search.k]
-    return [u & tops for u in search.up[:search.n_low]]
+    return [search.up(s) & tops for s in range(search.n_low)]
 
 
 def _bottom_up_depth(j, i, budget=None):
@@ -508,7 +538,7 @@ def test_branch_pick_matches_a_rescan(monkeypatch):
 
     def rescanned(self, uncovered, walked):
         tops = self.levels[self.k]
-        live = {i: (self.up[i] & tops & uncovered).bit_count()
+        live = {i: (self.up(i) & tops & uncovered).bit_count()
                 for i in range(self.n_low) if uncovered >> i & 1}
         gives_up = (uncovered in self.failed
                     or _state_forced_total(self, uncovered) is None)
@@ -752,53 +782,96 @@ def _index_pairs():
     return pairs
 
 
+def _assert_index(poset, k, above, below):
+    """Every entry the index of a decision at k holds is the reference's:
+    ``above[a]`` and ``below[a]``, the bitmaps over all elements above and
+    below element a, cut to the prefix.  Asks ``up`` of every prefix
+    element, so the memo ends up holding them all."""
+    up, down = poset.search_index(k)
+    assert poset.indexed >= k
+    ranked = sum(m.bit_count() for m in poset.levels[:poset.indexed + 1])
+    prefix = (1 << ranked) - 1
+    assert poset.prefix == prefix
+    assert len(poset.has) <= poset.n
+    for b in range(poset.n):
+        assert (poset.has[b] if b < len(poset.has) else 0) == sum(
+            1 << a for a, s in enumerate(poset.elements[:ranked]) if s >> b & 1)
+    base = sum(m.bit_count() for m in poset.levels[:k])
+    assert poset.downs == (k, down)
+    assert down == [below[a] & prefix
+                    for a in range(base, base + poset.levels[k].bit_count())]
+    assert [up(a) for a in range(ranked)] == [u & prefix for u in above[:ranked]]
+    assert poset.ups == {a: above[a] & prefix for a in range(ranked)}
+
+
 def test_search_index_matches_pair_scan():
     for j, i in _index_pairs():
         poset = build_char_poset(j, i)
-        up, down = poset.search_index(poset.n)
         elements = set(poset.elements)
         assert _is_convex(elements, poset.n)
         assert elements == {s for s in range(1 << poset.n)
                             if j.contains(s) and not i.contains(s)}
+        above = [sum(1 << b for b, t in enumerate(poset.elements) if divides(s, t))
+                 for s in poset.elements]
+        below = [sum(1 << b for b, t in enumerate(poset.elements) if divides(t, s))
+                 for s in poset.elements]
         for a, s in enumerate(poset.elements):
             assert poset.position[s] == a
-            assert up[a] == sum(1 << b for b, t in enumerate(poset.elements)
-                                if divides(s, t))
-            assert down[a] == sum(1 << b for b, t in enumerate(poset.elements)
-                                  if divides(t, s))
         assert poset.maximal_elements() == sorted(
             s for s in poset.elements
             if not any(t != s and divides(s, t) for t in poset.elements))
-        # the live tops of each k: every member of [s,t] in the poset
+        # every k in turn on one poset, each a rebuild for a higher level;
+        # the live tops of each k: every member of [s,t] in the poset, whose
+        # counts the search takes from its superset sum
         for k in range(poset.n + 1):
+            _assert_index(poset, k, above, below)
             low = [s for s in poset.elements if s.bit_count() < k]
-            assert _live_tops(_CoverSearch(poset, k)) == [
-                sum(1 << b for b, t in enumerate(poset.elements)
-                    if t.bit_count() == k and divides(s, t)
-                    and all(m in elements for m in Interval(s, t).members()))
-                for s in low]
+            live = [sum(1 << b for b, t in enumerate(poset.elements)
+                        if t.bit_count() == k and divides(s, t)
+                        and all(m in elements for m in Interval(s, t).members()))
+                    for s in low]
+            search = _CoverSearch(poset, k)
+            assert _live_tops(search) == live
+            assert search.start_planes == bit_planes([c.bit_count() for c in live])
+            assert search.root_dead == (not all(live))
 
 
 def test_level_index_is_the_full_index_on_its_prefix():
-    # the index of level L is the full one restricted to the elements of
-    # size <= L, and a later request for a level at or below the one built
-    # reuses it
+    # the index of level L is the full lattice's restricted to the elements
+    # of size <= L, and a later request for a level at or below the one
+    # built keeps its prefix and the memo of up, and builds only the down
+    # of the new level
     for j, i in _index_pairs():
-        full = build_char_poset(j, i)
-        full_up, full_down = full.search_index(full.n)
-        for level in range(full.n + 1):
+        *_, above, below = _full_lattice_index(build_char_poset(j, i))
+        for level in range(j.n + 1):
             poset = build_char_poset(j, i)
-            up, down = poset.search_index(level)
-            ranked = sum(m.bit_count() for m in poset.levels[:level + 1])
-            prefix = (1 << ranked) - 1
+            _assert_index(poset, level, above, below)
             assert poset.indexed == level
-            assert up == [u & prefix for u in full_up[:ranked]]
-            assert down == full_down[:ranked]
-            for lower in range(level + 1):
-                assert poset.search_index(lower)[0] is up
-        # the elements with nothing but themselves above them in the index
-        assert full.maximal_elements() == sorted(
-            s for a, s in enumerate(full.elements) if full_up[a] == 1 << a)
+            has, ups = poset.has, poset.ups
+            for lower in range(level, -1, -1):
+                _assert_index(poset, lower, above, below)
+                assert poset.indexed == level
+                assert poset.has is has and poset.ups is ups
+        # the elements with nothing but themselves above them
+        assert poset.maximal_elements() == sorted(
+            s for a, s in enumerate(poset.elements) if above[a] == 1 << a)
+
+
+def test_index_memo_gives_the_covers_of_fresh_posets():
+    # decisions for k ascending then descending on one poset: each rise
+    # rebuilds the index and must clear the memo of up, whose bitmaps over
+    # the shorter prefix lack the new level's tops; each fall reuses both.
+    # Every cover, node count and certificate is that of a fresh poset
+    for j, i in _random_pairs(30, 15) + [NAMED_PINS["cyc:9:3"][:2]]:
+        shared = build_char_poset(j, i)
+        ks = list(range(j.n + 1))
+        for k in ks + ks[::-1]:
+            fresh = build_char_poset(j, i)
+            got, want = sdepth_at_least(shared, k), sdepth_at_least(fresh, k)
+            assert got == want, k
+            cover = got[0] or []
+            assert _digest(certificate_from(shared, cover, k)) == \
+                _digest(certificate_from(fresh, cover, k)), k
 
 
 def _list_zeta(values, n, upward):
@@ -837,24 +910,28 @@ def _full_lattice_index(poset):
 def test_search_index_matches_the_full_lattice_zeta(family):
     for n in range(8, 13):
         poset = build_char_poset(*family_module(family, n))
-        up, down = poset.search_index(n)
-        assert (poset.elements, poset.position.tolist(), poset.levels,
-                up, down) == _full_lattice_index(poset), (family, n)
+        order, position, levels, above, below = _full_lattice_index(poset)
+        assert (poset.elements, poset.position.tolist(), poset.levels) == \
+            (order, position, levels), (family, n)
+        for k in range(n + 1):
+            _assert_index(poset, k, above, below)
 
 
 def test_search_index_keeps_no_bitmap_per_mask():
-    # cyc:14:3 has 5071 elements in 2^14 masks: two tables of bitmaps over
-    # all masks, one per direction, peaked near 11.8 MB; up and down
-    # themselves take about 6 MB.  The full index is built inside the window
+    # jn2:14 (U = 11) has 16,355 elements, 16,278 of them of size <= 11; an
+    # up and a down bitmap per element over that prefix, as the restricted
+    # zeta built them, took the traced peak of the row to 56 MB.  The down
+    # of the 364 tops of size 11 and the up of the elements branched on
+    # take it to about 3.3 MB
+    j, i = family_module("jn2", 14)
     tracemalloc.start()
     try:
-        poset = CharPoset(MonomialIdeal.whole_ring(14), cycle_ideal(14, 3))
-        poset.search_index(14)
+        res = stanley_depth(j, i)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(poset.elements) == 5071
-    assert peak < 9_000_000
+    assert (res.sdepth, res.exact, res.nodes) == (11, True, 287)
+    assert peak < 10_000_000
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 10, 16, 17, 24, 57])
