@@ -160,8 +160,12 @@ def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable
     lcm 0, one ascending int64 array, and those of Δ_σ are its masks inside
     σ, one numpy filter of it: still ascending, from the empty face, and
     closed, since lcm is monotone and so a subset of a face is a face.
-    That is the face list reduced_homology_ranks takes.  Equal products are
-    built once, so the rows per σ are shared references.
+    That is the face list reduced_homology_ranks takes, together with the
+    generators inside σ, the minimal non-faces of Δ_σ: its star collapse
+    then removes at once the stars of a set W of vertices no two of which
+    lie in one generator, whose union is acyclic by the nerve theorem (see
+    reduce_faces).  Equal products are built once, so the rows per σ are
+    shared references.
     """
     if ideal.is_whole_ring:
         raise ValueError("I = S gives the zero module S/S")
@@ -181,7 +185,9 @@ def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable
             key = _shape(sigma, ideal.gens)
             row = by_shape.get(key)
             if row is None:
-                ranks = reduced_homology_ranks(delta[delta & ~sigma == 0], field)
+                inside = [g for g in ideal.gens if g & ~sigma == 0]
+                ranks = reduced_homology_ranks(delta[delta & ~sigma == 0], field,
+                                               inside)
                 size = sigma.bit_count()
                 row = {size - 1 - d: r for d, r in ranks.items()}
                 by_shape[key] = row

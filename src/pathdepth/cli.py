@@ -44,6 +44,15 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
+def _read_json(path: str):
+    """The value in a JSON file; a file that does not parse is a usage error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError:
+            raise UsageError(f"{path} is not JSON") from None
+
+
 def _load_module(args) -> tuple[MonomialIdeal, MonomialIdeal]:
     """Resolve the (J, I) pair from --graph/--n/--m or --ideal-file."""
     module = getattr(args, "module", "quotient")
@@ -52,8 +61,7 @@ def _load_module(args) -> tuple[MonomialIdeal, MonomialIdeal]:
             raise UsageError("--ideal-file excludes --graph/--n/--m")
         if module == "subquotient":
             raise UsageError("--module subquotient needs a named graph family")
-        with open(args.ideal_file) as fh:
-            ideal = MonomialIdeal.from_dict(json.load(fh))
+        ideal = MonomialIdeal.from_dict(_read_json(args.ideal_file))
         return MonomialIdeal.whole_ring(ideal.n), ideal
     if not args.graph or args.n is None or args.m is None:
         raise UsageError("need --graph, --n and --m (or --ideal-file)")
@@ -135,8 +143,7 @@ def cmd_sdepth(args) -> int:
 def cmd_decomp(args) -> int:
     if args.check:
         j_ideal, i_ideal = _load_nonzero_module(args)
-        with open(args.check) as fh:
-            cert = StanleyCertificate.from_dict(json.load(fh), j_ideal.n)
+        cert = StanleyCertificate.from_dict(_read_json(args.check), j_ideal.n)
         result = validate_decomposition(cert, j_ideal, i_ideal)
         if result:
             _emit("valid", args.out)

@@ -10,6 +10,7 @@ multidegrees.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -90,22 +91,49 @@ def _pair_off(start: list[int], alive: bytearray, vertices: list[int]) -> None:
                 work.append(x)
 
 
-def reduce_faces(faces: list[int] | np.ndarray) -> dict[int, list[int]]:
+def _star_cover(masks: np.ndarray, vertices: list[int],
+                nonfaces: Sequence[int] | None) -> list[int]:
+    """W, a set of vertices no two of which lie in one of the non-faces.
+
+    Vertices are taken greedily, the one in the most faces first and the
+    lowest on a tie, each skipped if a non-face holds it and a vertex
+    already taken.  With no non-faces given, W is that first vertex alone.
+    """
+    order = sorted(vertices, key=lambda v: -np.count_nonzero(masks & v))
+    if nonfaces is None:
+        return order[:1]
+    cover, blocked = [], 0
+    for v in order:
+        if not v & blocked:
+            cover.append(v)
+            for g in nonfaces:
+                if g & v:
+                    blocked |= g
+    return cover
+
+
+def reduce_faces(faces: list[int] | np.ndarray,
+                 nonfaces: Sequence[int] | None = None) -> dict[int, list[int]]:
     """Cells of a complex left after a star collapse, coreductions and
     free-face collapses, keyed by bit count.
 
     faces is a face list as reduced_homology_ranks takes it; one that does
-    not strictly ascend from the empty face is refused.  One numpy step
-    first removes the closed star st(v) of the vertex v in the most faces
-    (the lowest on a tie): every face σ without v whose σ ∪ v is a face,
-    together with σ ∪ v.  The star, empty face included, is a cone, so its
-    augmented chain complex is acyclic and H̃(Δ) ≅ H(Δ, st v); the faces
-    left span the relative complex, whose boundary is the old boundary
-    restricted to them.  The pairs taken next keep that invariant: both
-    kinds have incidence ±1, a coreduced cell's boundary is its partner
-    alone, and no other cell has a free face in its boundary.  So the cells
-    left have the homology of Δ over every field, and one sweep over them
-    finishes the reduction.
+    not strictly ascend from the empty face is refused.  nonfaces, when
+    given, are non-faces of the complex such that every non-face contains
+    one of them, its minimal non-faces say.  One numpy step first removes
+    the union U of the closed stars st(w) over a set W of vertices no two of
+    which lie in one of them (_star_cover): every face τ with τ ∪ w a face
+    for some w in W.  For W' ⊆ W the stars' intersection is
+    {τ : τ ∪ W' a face}, since one of the non-faces inside τ ∪ W' would
+    meet W' in at most one vertex w and so lie inside the face τ ∪ w.  So
+    every such intersection is a cone, the nerve theorem (Björner,
+    Handbook of Combinatorics, Thm 10.6) makes U acyclic, ∅ included, and
+    H̃(Δ) ≅ H(Δ, U); the faces left span the relative complex, whose
+    boundary is the old boundary restricted to them.  The pairs taken next
+    keep that invariant: both kinds have incidence ±1, a coreduced cell's
+    boundary is its partner alone, and no other cell has a free face in its
+    boundary.  So the cells left have the homology of Δ over every field,
+    and one sweep over them finishes the reduction.
     """
     masks = np.asarray(faces, dtype=np.int64)
     if len(masks) and (masks[0] or (masks[1:] <= masks[:-1]).any()):
@@ -115,11 +143,13 @@ def reduce_faces(faces: list[int] | np.ndarray) -> dict[int, list[int]]:
     alive[masks] = True
     vertices = [1 << b for b in bits(union)]
     if vertices:
-        v = vertices[int(np.argmax([np.count_nonzero(masks & u) for u in vertices]))]
-        rest = masks[masks & v == 0]
-        star = rest[alive[rest | v]]
-        alive[star] = alive[star | v] = False
-        masks = masks[alive[masks]]
+        cover = _star_cover(masks, vertices, nonfaces)
+        rest = masks[masks & sum(cover) == 0]
+        for w in cover:
+            rest = rest[~alive[rest | w]]
+        alive[masks] = False
+        alive[rest] = True
+        masks = rest
     left = masks.tolist()
     alive = bytearray(alive.tobytes())
     _pair_off(left, alive, vertices)
@@ -130,7 +160,8 @@ def reduce_faces(faces: list[int] | np.ndarray) -> dict[int, list[int]]:
     return cells
 
 
-def reduced_homology_ranks(faces: list[int] | np.ndarray, field) -> dict[int, int]:
+def reduced_homology_ranks(faces: list[int] | np.ndarray, field,
+                           nonfaces: Sequence[int] | None = None) -> dict[int, int]:
     """The nonzero ranks of reduced homology H̃_d over the given field,
     keyed by d.
 
@@ -139,9 +170,11 @@ def reduced_homology_ranks(faces: list[int] | np.ndarray, field) -> dict[int, in
     subsets; an empty one is the void complex.  It is taken as it is (an
     int64 array without a copy): reduce_faces refuses one out of order,
     with a repeat or without the empty face, and closure is the producer's
-    to keep.  Only the cells left by reduce_faces reach the rank step.
+    to keep.  nonfaces, the complex's minimal non-faces when given, let
+    reduce_faces collapse the stars of many vertices at once.  Only the
+    cells left by reduce_faces reach the rank step.
     """
-    cells = reduce_faces(faces)
+    cells = reduce_faces(faces, nonfaces)
     if not cells:
         return {}
     return {s - 1: h for s, h in enumerate(chain_homology_ranks(cells, field)) if h}

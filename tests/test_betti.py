@@ -19,6 +19,8 @@ from pathdepth.ideals import MonomialIdeal, bits, monomial, subsets
 from pathdepth.linalg import rank_bareiss, rank_mod_p
 from pathdepth.oracle import expectation
 
+FIELDS_Q_2_3 = (RATIONALS, GF2, Field(3))
+
 
 def test_koszul_complex_totals():
     # S/(x1..xn) resolves by the Koszul complex: beta_i = C(n, i)
@@ -89,9 +91,18 @@ def test_taylor_matches_hochster_on_random_ideals():
         gens = tuple(sum(1 << v for v in rng.sample(range(n), rng.choice((2, 3))))
                      for _ in range(rng.randint(2, TAYLOR_MAX_GENS)))
         ideals.append(MonomialIdeal(n, gens))
+    # RP^2 with generators that tie x7..x9 to it: connected σ whose star
+    # collapse takes several vertices and leaves 2-torsion behind
+    for _ in range(4):
+        extra = [monomial([rng.randint(7, 9), rng.randint(1, 6)], 9)
+                 for _ in range(2)]
+        ideals.append(MonomialIdeal(9, _rp2_nonfaces(9) + tuple(extra)))
     for ideal in ideals:
-        assert taylor_betti(ideal) == hochster_betti(ideal)
-        assert taylor_betti(ideal, GF2) == hochster_betti(ideal, GF2)
+        for field in FIELDS_Q_2_3:
+            assert taylor_betti(ideal, field) == hochster_betti(ideal, field), \
+                (str(ideal), field)
+    rp2 = ideals[-1]
+    assert hochster_betti(rp2, RATIONALS) != hochster_betti(rp2, GF2)
 
 
 def test_auslander_buchsbaum_on_families():
@@ -321,8 +332,6 @@ def _family_ideals(n_max):
             yield cycle_ideal(n, m)
 
 
-FIELDS_Q_2_3 = (RATIONALS, GF2, Field(3))
-
 
 def test_lowest_piece_recursion_matches_the_piecewise_loop():
     ideals = [*_family_ideals(12), *_random_small_ideals(300, seed=20261019)]
@@ -385,7 +394,7 @@ def test_delta_filter_lists_the_subset_walk(monkeypatch):
     seen, faces_of = [], {}
     monkeypatch.setattr(betti, "_shape", lambda mask, gens: seen.append(mask) or mask)
 
-    def recording(faces, field):
+    def recording(faces, field, nonfaces):
         faces_of[seen[-1]] = faces
         return {}
 

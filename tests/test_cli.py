@@ -247,6 +247,20 @@ def test_certificate_with_a_bad_interval_exits_two(tmp_path, capsys):
     assert captured.err.strip() == "error: interval lower must divide upper"
 
 
+@pytest.mark.parametrize("text", ["", "n = 4", "{\"n\": 4,", "\udcff"])
+@pytest.mark.parametrize("command", ["depth --ideal-file", "decomp --check"])
+def test_file_that_is_not_json_is_named(command, text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text, errors="surrogateescape")
+    argv = [*command.split(), str(path)]
+    if command.startswith("decomp"):
+        argv += ["--graph", "cycle", "--n", "4", "--m", "3"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {path} is not JSON"
+
+
 def test_ideal_file_excludes_n(tmp_path, capsys):
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps({"n": 4, "gens": [[1, 2], [2, 3]]}))

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from pathdepth.betti import GF2, RATIONALS, Field
-from pathdepth.graphs import cycle_ideal
+from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.homology import (boundary_matrix, chain_homology_ranks,
                                 reduce_faces, reduced_homology_ranks)
-from pathdepth.ideals import monomial
+from pathdepth.ideals import bits, monomial
 
 FIELDS = [RATIONALS, GF2, Field(3)]
 RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
@@ -133,12 +133,31 @@ RP2_BUILDS = [_join(RP2_FACES, _closure([[1]], 1), 6),
               _join(RP2_FACES, _closure([[1, 2], [2, 3], [1, 3]], 3), 6)]
 
 
+def _minimal_nonfaces(faces):
+    """The minimal non-faces of a face set, by a walk over every mask up to
+    its highest vertex: the masks not in it whose facets all are."""
+    top = max(faces).bit_length()
+    return [s for s in range(1 << top) if s not in faces
+            and all(s ^ 1 << b in faces for b in bits(s))]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_reduction_keeps_homology(field):
-    # RP^2 first: its H̃_1 and H̃_2 differ between Q and GF(2)
+    # RP^2 first: its H̃_1 and H̃_2 differ between Q and GF(2); with the
+    # minimal non-faces given, the collapse takes the stars of every vertex
+    # of W at once
+    wide = 0
     for faces in [RP2_FACES, *RP2_BUILDS, *_random_complexes(150),
                   *_gapped_complexes(300, seed=17)]:
-        assert _ranks(faces, field) == _unreduced_ranks(faces, field)
+        expected = _unreduced_ranks(faces, field)
+        nonfaces = _minimal_nonfaces(faces)
+        assert _ranks(faces, field) == expected
+        assert reduced_homology_ranks(sorted(faces), field, nonfaces) == expected
+        # two vertices in no common non-face, which W may both take
+        vertices = [f.bit_length() - 1 for f in faces if f.bit_count() == 1]
+        wide += any(not any(g >> a & g >> b & 1 for g in nonfaces)
+                    for a, b in combinations(vertices, 2))
+    assert wide >= 300
 
 
 def test_torsion_survives_the_star_collapse():
@@ -186,14 +205,18 @@ def _stanley_reisner_faces(ideal):
     return [s for s in range(1 << ideal.n) if not lcm[s]]
 
 
-@pytest.mark.parametrize("faces, most_pops, ranks", [
+@pytest.mark.parametrize("faces, nonfaces, most_pops, ranks", [
     # the boundary of the 11-simplex: the star of one vertex is every face
     # but the facet opposite it, which is the one cell left
-    (range((1 << 12) - 1), 1, {10: 1}),
-    (_stanley_reisner_faces(cycle_ideal(16, 14)), 100, {12: 1}),
-], ids=["boundary-of-11-simplex", "cyc:16:14"])
-def test_star_collapse_leaves_few_pops(monkeypatch, faces, most_pops, ranks):
-    # one queue pop per face without the collapse: 4096 and 65503
+    (range((1 << 12) - 1), None, 1, {10: 1}),
+    (_stanley_reisner_faces(cycle_ideal(16, 14)), None, 100, {12: 1}),
+    # with the generators given the stars of many vertices go at once; the
+    # star of one vertex left 4063 and 912 pops
+    (_stanley_reisner_faces(cycle_ideal(16, 3)), cycle_ideal(16, 3).gens, 200, {7: 3}),
+    (_stanley_reisner_faces(line_ideal(16, 5)), line_ideal(16, 5).gens, 50, {}),
+], ids=["boundary-of-11-simplex", "cyc:16:14", "cyc:16:3", "line:16:5"])
+def test_star_collapse_leaves_few_pops(monkeypatch, faces, nonfaces, most_pops, ranks):
+    # one queue pop per face without the collapse: 4096, 65503, 17155, 52656
     pops = 0
 
     class CountingDeque(deque):
@@ -203,7 +226,7 @@ def test_star_collapse_leaves_few_pops(monkeypatch, faces, most_pops, ranks):
             return super().popleft()
 
     monkeypatch.setattr("pathdepth.homology.deque", CountingDeque)
-    got = reduced_homology_ranks(list(faces), GF2)
+    got = reduced_homology_ranks(list(faces), GF2, nonfaces)
     assert pops <= most_pops
     assert got == ranks
 
