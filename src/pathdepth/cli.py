@@ -1,14 +1,17 @@
 """Command-line interface: gen / depth / betti / sdepth / decomp / verify.
 
 Exit codes: 0 success (and no verification violation), 1 at least one
-verification violation, 2 usage error or violated precondition.  All
-numeric output is exact integers.
+verification violation, 2 usage error or violated precondition, 141
+(128 + SIGPIPE, as a shell reports a writer that a closed pipe ended)
+when the reader of stdout went away first.  All numeric output is exact
+integers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .betti import RATIONALS, GF2, depth_quotient, hochster_betti
@@ -23,6 +26,10 @@ GRAPHS = {"line": line_ideal, "cycle": cycle_ideal}
 
 class UsageError(Exception):
     pass
+
+
+# 128 + SIGPIPE (13), the status a shell gives a writer the signal ended
+PIPE_CLOSED = 141
 
 
 def _int_at_least(text: str, low: int, kind: str) -> int:
@@ -247,7 +254,17 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a closed pipe shows up here, not in the flush at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader left, as `head` does: what is left of stdout goes to
+        # devnull, so the flush at exit has nothing to complain about
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return PIPE_CLOSED
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,6 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from math import comb
 from typing import Callable
 
 import numpy as np
@@ -283,12 +282,24 @@ def bit_planes(values) -> list[int]:
 
 def least(cand: int, planes: list[int]) -> int:
     """The bits of ``cand`` whose bit-sliced value in ``planes`` is least,
-    found by walking the planes from the most significant one."""
+    found by walking the planes from the most significant one.  ``x & ~p``
+    is spelled ``x ^ (x & p)``: ``~p`` is a negative int, and ``&`` with it
+    costs 2.4 times as much at a few thousand bits."""
     for p in reversed(planes):
-        rest = cand & ~p
+        rest = cand ^ (cand & p)
         if rest:
             cand = rest
     return cand
+
+
+def ranked_bits(cand: int, planes: list[int], rank: Callable[[int], int]):
+    """The set bits of ``cand`` in ascending ``rank``, where ``planes`` are
+    the bit-sliced dense ranks (``bit_planes``) of the positions: the least
+    from the planes, and the rest sorted only if a second one is asked for."""
+    if cand:
+        first = least(cand, planes)
+        yield first.bit_length() - 1
+        yield from sorted(bits(cand ^ first), key=rank)
 
 
 def forced_intervals(sizes: list[int], k: int) -> list[int] | None:
@@ -299,7 +310,9 @@ def forced_intervals(sizes: list[int], k: int) -> list[int] | None:
     An interval with |lower| = a and |top| = k is a full cube: it covers
     C(k - a, l - a) elements of size l.  So f_l = sizes[l] - sum_{a<l} f_a
     C(k - a, l - a), a triangular system with one solution, and a cover
-    needs every f_l >= 0 and F = sum f_l <= sizes[k] distinct tops.
+    needs every f_l >= 0 and F = sum f_l <= sizes[k] distinct tops.  Each
+    level's terms f_a C(k - a, l - a) come from the last level's, times
+    (k - l + 1) / (l - a), exactly, with no binomial evaluated.
 
     The search solves this once, for its root: below the root the system on
     a node's uncovered counts cannot fail.  With h_a intervals of lower size
@@ -312,12 +325,15 @@ def forced_intervals(sizes: list[int], k: int) -> list[int] | None:
     intervals placed the total condition, F - P <= sizes[k] - P, is the
     root's own.
     """
-    forced = []
+    forced, placed = [], []
     for l in range(k):
-        need = sizes[l] - sum(f * comb(k - a, l - a) for a, f in enumerate(forced))
+        grow = k - l + 1
+        placed = [p * grow // d for p, d in zip(placed, range(l, 0, -1))]
+        need = sizes[l] - sum(placed)
         if need < 0:
             return None
         forced.append(need)
+        placed.append(need)
     return forced if sum(forced) <= sizes[k] else None
 
 
@@ -339,6 +355,8 @@ class _CoverSearch:
     ``start_planes`` holds each element's number of candidate tops; an
     attempt works on a copy, ``planes``, which placing [s,t] lowers by one
     for the uncovered elements below t and undoing the placement restores.
+    Counts only fall, so on each level the planes above the bit length of
+    its largest start count stay zero, and the branch pick skips them.
 
     The decision runs as a series of attempts (``attempt``).  Attempt 0
     ranks elements by their own (size, lex) number; attempt a >= 1 ranks
@@ -368,26 +386,42 @@ class _CoverSearch:
         counts = above[poset.masks[:self.n_low]]
         self.root_dead = not counts.all()
         self.start_planes = bit_planes(counts)
+        # the size and first element number of each level <= k, and per
+        # level < k the number of live-top planes that can be nonzero on it
+        self.sizes = sizes
+        self.starts = list(itertools.accumulate(sizes[:k], initial=0))
+        self.widths = [max((j + 1 for j, p in enumerate(self.start_planes)
+                            if p & level), default=0)
+                       for level in self.levels[:k]]
         self.failed: set[int] = set()
         # of the current attempt: the live-top planes, the dense ranks of
-        # the elements of size <= k and their planes (None under attempt 0,
-        # whose ranks are the element numbers)
+        # the elements of size <= k, and per level < k its bitmap, first
+        # number, plane count and level-local rank planes (None under
+        # attempt 0, whose ranks are the element numbers)
         self.planes: list[int] = []
         self.rank = range(0)
-        self.rank_planes: list[int] | None = None
+        self.low: list[tuple] = []
 
     def _ranks(self, attempt: int):
         """Per element of size <= k, its rank 0, 1, ... in the order of the
         labelling of ``attempt``: its (size, lex) number for attempt 0, its
-        size_lex_keys position under the shuffled labels after that."""
+        size_lex_keys position under the shuffled labels after that; and per
+        level <= k, the bit-sliced ranks of its elements less the level's
+        first number, as bitmaps over the level's own positions (None for
+        attempt 0).  The order is size-major, so a level's ranks are its
+        own numbers permuted: one ``bit_planes`` of the level-local ranks,
+        cut per level by a shift and a mask."""
         if attempt == 0:
-            return range(self.n_ranked)
+            return range(self.n_ranked), [None] * (self.k + 1)
         images = list(range(1, self.poset.n + 1))
         random.Random(attempt).shuffle(images)
         keys = size_lex_keys(self.poset.masks[:self.n_ranked], images)
         rank = np.empty_like(keys)
         rank[np.argsort(keys)] = np.arange(len(keys))
-        return rank
+        planes = bit_planes(rank - np.repeat(self.starts, self.sizes))
+        return rank, [[p >> lo & (1 << size) - 1
+                       for p in planes[:(size - 1).bit_length()]]
+                      for lo, size in zip(self.starts, self.sizes)]
 
     def run(self, budget: int | None = None) -> list[Interval] | None:
         """Attempts 0, 1, 2, ... until one settles the decision.
@@ -416,15 +450,17 @@ class _CoverSearch:
         bitmap of the elements that lost a live top since the parent state,
         so only they can have lost their last one: a bit clear in every
         plane.  The branch is the least-count set of the lowest live level,
-        then the least rank in it."""
+        read from the planes that can be nonzero on it, then the least rank
+        in it, read at the level's own positions: the lowest bit under
+        attempt 0, the level's rank planes after that."""
         planes = self.planes
         for p in planes:
             if not walked:
                 break
-            walked &= ~p
+            walked ^= walked & p
         if walked:
             return -1
-        for level in self.levels[:self.k]:
+        for level, lo, width, ranked in self.low:
             live = level & uncovered
             if live:
                 break
@@ -433,10 +469,11 @@ class _CoverSearch:
         if self.forced is None or uncovered in self.failed:
             self.failed.add(uncovered)
             return -1
-        branches = least(live, planes)
-        if self.rank_planes is not None:
-            branches = least(branches, self.rank_planes)
-        return (branches & -branches).bit_length() - 1
+        branches = least(live, planes[:width]) >> lo
+        if ranked is None:
+            # the lowest bit alone, as b ^ (b - 1) sets it and the bits below
+            return lo + (branches ^ (branches - 1)).bit_length() - 1
+        return lo + least(branches, ranked).bit_length() - 1
 
     def attempt(self, a: int, stop: int | None = None) -> list[Interval] | None:
         """Depth-first search under the ranks of attempt ``a``: the intervals
@@ -448,15 +485,17 @@ class _CoverSearch:
         cube is cleared, from the live-top planes with a borrow chain;
         undoing it adds the same W back with a carry chain, recomputed from
         the stacked state it was placed on, so a placement keeps only
-        (s, t).  A state keeps ``up(s)`` of its branch s, asked for once."""
-        self.rank = self._ranks(a)
-        self.rank_planes = None if a == 0 else bit_planes(self.rank)
+        (s, t).  A state keeps ``up(s)`` of its branch s, asked for once.
+        Every cube it places lies in its uncovered bitmap (the fit test), so
+        placing one clears it with ``^`` and no negative int."""
+        self.rank, ranked = self._ranks(a)
+        self.low = list(zip(self.levels, self.starts, self.widths, ranked))
         self.planes = planes = self.start_planes[:]
         order, up, down = self.poset.elements, self.up, self.down
         # the tops are the size-k elements, base, base + 1, ...: a state
         # lists its live tops as offsets t from base, the index of down[t],
-        # in bit order under attempt 0 and sorted by their ranks after that
-        base, top_level = self.n_low, self.levels[self.k]
+        # in bit order under attempt 0 and by rank after that (ranked_bits)
+        base, top_level, top_planes = self.n_low, self.levels[self.k], ranked[-1]
         top_rank = None if a == 0 else self.rank[base:].tolist().__getitem__
         # per open state: its uncovered bitmap, branch, the branch's up and
         # an iterator over its untried live candidate tops in rank order;
@@ -475,15 +514,16 @@ class _CoverSearch:
                 return [Interval(order[s], order[base + t]) for s, t in placed]
             if branch >= 0:
                 above = up(branch)
-                tops = bits((above & top_level & uncovered) >> base)
-                if top_rank is not None:
-                    tops = iter(sorted(tops, key=top_rank))
+                tops = (above & top_level & uncovered) >> base
+                tops = (bits(tops) if top_rank is None
+                        else ranked_bits(tops, top_planes, top_rank))
                 stack.append((uncovered, branch, above, tops))
             while stack:
                 uncovered, branch, above, left = stack[-1]
                 if len(placed) == len(stack):
                     # W = down[t] & (uncovered & ~cube), cube = up[s] & down[t]
-                    carry = down[placed.pop()[1]] & uncovered & ~above
+                    carry = down[placed.pop()[1]] & uncovered
+                    carry ^= carry & above
                     j = 0
                     while carry:
                         p = planes[j]
@@ -498,13 +538,13 @@ class _CoverSearch:
                     self.failed.add(uncovered)
                     stack.pop()
                     continue
-                uncovered &= ~cube
+                uncovered ^= cube
                 walked = borrow = down[t] & uncovered
                 j = 0
                 while borrow:
                     p = planes[j]
                     planes[j] = p ^ borrow
-                    borrow &= ~p
+                    borrow ^= borrow & p
                     j += 1
                 placed.append((branch, t))
                 break

@@ -324,13 +324,13 @@ def test_verify_output_is_unchanged(capsys):
     assert rows == json.loads(VERIFY_ALL_N10.read_text())
 
 
-def _python_m_pathdepth(*argv, timeout):
+def _python_m_pathdepth(*argv, timeout, stdout=subprocess.PIPE):
     src = str(Path(pathdepth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "pathdepth", *argv],
-                          env=env, capture_output=True, text=True,
-                          timeout=timeout)
+                          env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=timeout)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -346,3 +346,21 @@ def test_deep_sdepth_search_needs_no_recursion():
                                "--m", "4", timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "9"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "j3", "--n-max", "8", "--format", "csv"),
+    ("betti", "--graph", "line", "--n", "8", "--m", "3"),
+])
+def test_closed_stdout_pipe_exits_quietly(argv):
+    # as in `pathdepth ... | head`, but with the reader gone before the
+    # first write: no message, no traceback, and 128 + SIGPIPE, not the
+    # usage status 2
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _python_m_pathdepth(*argv, timeout=120, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == 141

@@ -14,13 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
-                              check_table_n, divides, monomial, monomial_vars)
+                              bits, check_table_n, divides, monomial,
+                              monomial_vars)
 from pathdepth.oracle import family_module
 from pathdepth.sdepth import (BudgetExceeded, Interval, SdepthResult,
                               StanleyCertificate, _CoverSearch, bit_planes,
                               build_char_poset, certificate_from,
-                              forced_intervals, least, luby, sdepth_at_least,
-                              size_lex_keys, stanley_depth, upper_bound,
+                              forced_intervals, least, luby, ranked_bits,
+                              sdepth_at_least, size_lex_keys, stanley_depth, upper_bound,
                               ValidationResult, validate_decomposition)
 
 
@@ -484,6 +485,29 @@ def test_counting_bound_binds_on_the_maximal_ideal():
         assert upper_bound(poset) == (n + 1) // 2, n
 
 
+def _jn2_levels(n):
+    """The level sizes of P(S/J_{n,n-2}) by counting: every l-subset for
+    l < n - 2, the (n - 2)-subsets but the n cyclic windows, nothing above."""
+    return [comb(n, l) for l in range(n - 2)] + [comb(n, 2) - n]
+
+
+def test_counting_caps_jn2_sdepth_at_n_minus_3():
+    # on the full binomial levels below n - 2, the counting system at k
+    # forces f_a = C(n - k + a - 1, a) intervals of lower size a: at
+    # k = n - 2, f_a = a + 1, (n - 1)(n - 2)/2 in all, one more than the
+    # n(n - 3)/2 elements of size n - 2; at k = n - 3, f_a = C(a + 2, 2),
+    # C(n - 1, 3) in all, fewer than the C(n, 3) elements of size n - 3
+    for n in range(5, 15):
+        poset = build_char_poset(*family_module("jn2", n))
+        sizes = [level.bit_count() for level in poset.levels]
+        assert sizes == _jn2_levels(n) + [0, 0], n
+    for n in range(5, 301):
+        sizes = _jn2_levels(n)
+        assert forced_intervals(sizes, n - 2) is None, n
+        assert forced_intervals(sizes, n - 3) == [
+            comb(a + 2, 2) for a in range(n - 3)], n
+
+
 def test_luby_sequence():
     assert [luby(i) for i in range(1, 16)] == [
         1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
@@ -681,6 +705,63 @@ def test_bit_planes_and_least_match_brute_force():
         cand = rng.getrandbits(50) | 1 << rng.randrange(50)
         best = min((i for i in range(50) if cand >> i & 1), key=rank.__getitem__)
         assert least(cand, planes) == 1 << best
+
+
+def test_ranked_bits_is_the_sorted_bits():
+    # the least-rank bit from the planes, then the rest sorted, equals one
+    # sort of every bit, on the empty set, single bits and random sets
+    rng = random.Random(5)
+    for size in [1, 2, 3, 7, 64, 65, 300] * 20:
+        rank = list(range(size))
+        rng.shuffle(rank)
+        planes = bit_planes(rank)
+        for cand in [0, 1 << rng.randrange(size), (1 << size) - 1,
+                     rng.getrandbits(size), rng.getrandbits(size) & rng.getrandbits(size)]:
+            assert list(ranked_bits(cand, planes, rank.__getitem__)) == sorted(
+                bits(cand), key=rank.__getitem__)
+
+
+def test_relabelled_attempts_try_the_tops_of_a_full_sort(monkeypatch):
+    # attempts 1-3 take a state's least-rank live top from the top level's
+    # rank planes and sort the rest only once that top fails to fit: every
+    # state must try the same tops, in the same order, as when all its live
+    # tops are sorted by rank up front, and reach the same covers and nodes
+    def recorded(pick, log):
+        def tops(cand, planes, rank):
+            tried = []
+            log.append((cand, tried))
+            for t in pick(cand, planes, rank):
+                tried.append(t)
+                yield t
+        return tops
+
+    def sort_all(cand, planes, rank):
+        return iter(sorted(bits(cand), key=rank))
+
+    def run(pick, pairs):
+        log, outcomes = [], []
+        monkeypatch.setattr("pathdepth.sdepth.ranked_bits", recorded(pick, log))
+        for j, i in pairs:
+            poset = build_char_poset(j, i)
+            for k in range(1, j.n + 1):
+                search = _CoverSearch(poset, k)
+                if not all(_live_tops(search)):
+                    continue
+                for a in (1, 2, 3):
+                    try:
+                        outcomes.append(search.attempt(a, search.nodes + 400))
+                    except BudgetExceeded:
+                        outcomes.append(BudgetExceeded)
+                    outcomes.append(search.nodes)
+        return log, outcomes
+
+    pairs = _random_pairs(200, 17) + [NAMED_PINS["cyc:9:3"][:2]]
+    got, want = run(ranked_bits, pairs), run(sort_all, pairs)
+    assert got == want
+    log = got[0]
+    # the pick alone, and the pick followed by the sorted rest, both occur
+    assert sum(len(tried) == 1 for _, tried in log) > 10_000
+    assert sum(len(tried) > 1 for _, tried in log) > 150
 
 
 @pytest.mark.parametrize("j, i, budget", [
