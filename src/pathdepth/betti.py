@@ -171,8 +171,11 @@ def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable
         raise ValueError("I = S gives the zero module S/S")
     n = ideal.n
     table = ideal.lcm_table()
-    # σ = 0 is always lcm-closed; its row is the (0, 0) entry
-    sigmas = np.flatnonzero(table == np.arange(1 << n))[1:]
+    # the lcm-closed σ are the values of the table; σ = 0 is always one,
+    # and its row is the (0, 0) entry
+    closed = np.zeros(1 << n, dtype=bool)
+    closed[table] = True
+    sigmas = np.flatnonzero(closed)[1:]
     delta = np.flatnonzero(table == 0)
     del table
     pieces = _lowest_pieces(sigmas, ideal.gens)

@@ -1,13 +1,9 @@
 """Exact Stanley depth of J/I via interval partitions of its characteristic poset.
 
-The characteristic poset holds the variable subsets σ with x^σ in J but
-not in I (module_table), ordered by inclusion.  A CharPoset holds the
-poset and, built on first need, the search's index: over the elements of
-size <= k, the only ones a decision at k reads, the bitmaps below its
-size-k tops and above the elements it branches on.  It is rebuilt only
-when a later decision asks for a higher level.  A Stanley decomposition
-corresponds to a partition of this poset into intervals [σ,τ]; the
-Stanley depth is the best achievable minimum of |τ|.
+The characteristic poset (CharPoset) holds the variable subsets σ with
+x^σ in J but not in I (module_table), ordered by inclusion.  A Stanley
+decomposition corresponds to a partition of this poset into intervals
+[σ,τ]; the Stanley depth is the best achievable minimum of |τ|.
 
 The decision "sdepth >= k" is solved as an exact-cover problem: every
 poset element of size < k must be covered by exactly one interval whose
@@ -75,25 +71,21 @@ def module_table(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal) -> np.ndarray:
 
 
 class CharPoset:
-    """Subsets σ with x^σ ∈ J \\ I, as bitmasks, ordered by inclusion, and
-    the search index over them.
+    """Subsets σ with x^σ ∈ J \\ I, as bitmasks, ordered by inclusion.
 
     Made only from a pair I ⊆ J with I ≠ J (else ValueError), so it is
     never empty and always convex (an up-set meets a down-set): an interval
     lies in it iff its ends do.  Elements are numbered in (size, lex)
     order, so each size is a run of numbers; ``elements`` lists them,
-    ``masks`` is that list as an int64 array, ``position`` maps each of
-    the 2^n masks to its number (-1 off the poset) and ``levels[l]`` is
-    the bitmap over the numbers of the elements of size l.  These are all
-    the constructor builds.
-
-    The search index covers only the elements of size <= ``indexed``, the
-    levels the decisions so far have read, and holds only what they read:
-    see ``search_index``.
+    ``masks`` is that list as an int64 array, ``levels[l]`` is the bitmap
+    over the numbers of the elements of size l and ``member`` is the 2^n
+    membership table (module_table) packed into one 2^n-bit int.  It holds
+    no search state: each decision builds its own index (_CoverSearch).
     """
 
     def __init__(self, j_ideal: MonomialIdeal, i_ideal: MonomialIdeal):
-        masks = np.flatnonzero(module_table(j_ideal, i_ideal)).astype(np.int64)
+        table = module_table(j_ideal, i_ideal)
+        masks = np.flatnonzero(table).astype(np.int64)
         self.n = n = j_ideal.n
         keys = size_lex_keys(masks, range(1, n + 1))
         self.masks = masks = masks[np.argsort(keys)]
@@ -102,70 +94,16 @@ class CharPoset:
         counts = np.bincount(-(-keys >> n), minlength=n + 1).tolist()
         ends = np.cumsum(counts).tolist()
         self.levels = [(1 << e) - (1 << (e - c)) for e, c in zip(ends, counts)]
-        self.position = pos = np.full(1 << n, -1, dtype=np.int64)
-        pos[masks] = np.arange(len(masks))
-        self.indexed, self.prefix = -1, 0
-        self.has: list[int] = []
-        self.ups: dict[int, int] = {}
-        self.downs: tuple[int, list[int]] = (-1, [])
-
-    def search_index(self, k: int) -> tuple[Callable[[int], int], list[int]]:
-        """``(up, down)``, what a decision at k reads, as bitmaps over the
-        prefix of the elements of size <= ``indexed`` (>= k), the first
-        numbers of the size-major numbering: ``up`` is the method below, and
-        ``down[t]`` holds the elements below the t-th element of size k, a
-        top of the decision (itself included).
-
-        ``has[b]`` holds the prefix elements with variable b, one
-        ``np.packbits`` per variable (``bit_planes``), so ``down[t]`` is the
-        AND of ``prefix ^ has[b]`` over the b not in t, built one variable
-        at a time over the tops without it.  ``downs`` keeps the last
-        level's.
-
-        The prefix is rebuilt only for a k above ``indexed``, which clears
-        the memo of ``up``: an ``up`` over a shorter prefix lacks the new
-        elements.  A longer prefix serves k as well, since every reader ANDs
-        with a bitmap inside k's prefix (a level, a ``down`` or the search
-        state), and a ``down`` holds nothing above its level.
-        """
-        if k > self.indexed:
-            ranked = sum(level.bit_count() for level in self.levels[:k + 1])
-            self.has = bit_planes(self.masks[:ranked])
-            self.indexed, self.prefix, self.ups = k, (1 << ranked) - 1, {}
-        built, down = self.downs
-        if built != k:
-            base = sum(level.bit_count() for level in self.levels[:k])
-            tops = self.masks[base:base + self.levels[k].bit_count()]
-            down = [self.prefix] * len(tops)
-            for b, has in enumerate(self.has):
-                miss = self.prefix ^ has
-                for t in np.flatnonzero((tops >> b & 1) == 0).tolist():
-                    down[t] &= miss
-            self.downs = (k, down)
-        return self.up, down
-
-    def up(self, s: int) -> int:
-        """The bitmap of the indexed elements above element s (itself
-        included): the AND of ``has[b]`` over the variables b of s,
-        memoised in ``ups`` until the index is rebuilt."""
-        above = self.ups.get(s)
-        if above is None:
-            above = self.prefix
-            for b in bits(self.elements[s]):
-                above &= self.has[b]
-            self.ups[s] = above
-        return above
+        self.member = int.from_bytes(np.packbits(table, bitorder="little")
+                                     .tobytes(), "little")
 
     def maximal_elements(self) -> list[int]:
         """The elements with no other above them, ascending: by convexity,
         those with no element one variable above.  One shift and AND per
-        variable over the 2^n membership table (module_table) as one
-        2^n-bit int: bit s of ``member >> 2^b`` is whether s + 2^b is in
-        the poset, which is s plus variable b where ``low`` keeps only the
-        masks without it."""
-        n = self.n
-        member = int.from_bytes(np.packbits(self.position >= 0, bitorder="little")
-                                .tobytes(), "little")
+        variable over ``member``: bit s of ``member >> 2^b`` is whether
+        s + 2^b is in the poset, which is s plus variable b where ``low``
+        keeps only the masks without it."""
+        n, member = self.n, self.member
         covered, low = 0, (1 << (1 << n >> 1)) - 1
         for b in reversed(range(n)):
             covered |= member >> (1 << b) & low
@@ -358,6 +296,15 @@ class _CoverSearch:
     Counts only fall, so on each level the planes above the bit length of
     its largest start count stay zero, and the branch pick skips them.
 
+    The search index is the decision's own and holds only what it reads,
+    over the elements of size <= k, a prefix of the size-major numbering
+    (no element of size > k is ever covered).  ``has[b]`` holds those with
+    variable b, one ``np.packbits`` per variable (``bit_planes``);
+    ``down[t]``, the elements below the t-th top (itself included), is the
+    AND of ``prefix ^ has[b]`` over the b not in t, built one variable at a
+    time over the tops without it; ``up(s)`` is built and memoised only
+    for the elements branched on.  An interval [s,t] is ``up(s) & down[t]``.
+
     The decision runs as a series of attempts (``attempt``).  Attempt 0
     ranks elements by their own (size, lex) number; attempt a >= 1 ranks
     them by their (size, lex) position after relabelling the variables by
@@ -374,16 +321,25 @@ class _CoverSearch:
         sizes = [m.bit_count() for m in self.levels]
         self.n_low, self.n_ranked = sum(sizes[:k]), sum(sizes)
         self.forced = forced_intervals(sizes, k)
-        self.up, self.down = poset.search_index(k)
+        masks = poset.masks[:self.n_ranked]
+        tops = masks[self.n_low:]
+        self.prefix = prefix = (1 << self.n_ranked) - 1
+        self.has = bit_planes(masks)
+        self.down = down = [prefix] * len(tops)
+        for b, has in enumerate(self.has):
+            miss = prefix ^ has
+            for t in np.flatnonzero((tops >> b & 1) == 0).tolist():
+                down[t] &= miss
+        self.up_memo: dict[int, int] = {}
         # per low element s, the number of size-k tops t with [s,t] in the
         # poset: as the poset is convex, every size-k element above s, which
         # a superset sum over the 2^n masks of the tops gives at s's mask
         above = np.zeros(1 << poset.n, dtype=np.int64)
-        above[poset.masks[self.n_low:self.n_ranked]] = 1
+        above[tops] = 1
         for b in range(poset.n):
             pairs = above.reshape(-1, 2, 1 << b)
             pairs[:, 0] += pairs[:, 1]
-        counts = above[poset.masks[:self.n_low]]
+        counts = above[masks[:self.n_low]]
         self.root_dead = not counts.all()
         self.start_planes = bit_planes(counts)
         # the size and first element number of each level <= k, and per
@@ -401,6 +357,18 @@ class _CoverSearch:
         self.planes: list[int] = []
         self.rank = range(0)
         self.low: list[tuple] = []
+
+    def up(self, s: int) -> int:
+        """The bitmap of the elements of size <= k above element s (itself
+        included): the AND of ``has[b]`` over the variables b of s, memoised
+        in ``up_memo`` for the decision."""
+        above = self.up_memo.get(s)
+        if above is None:
+            above = self.prefix
+            for b in bits(self.poset.elements[s]):
+                above &= self.has[b]
+            self.up_memo[s] = above
+        return above
 
     def _ranks(self, attempt: int):
         """Per element of size <= k, its rank 0, 1, ... in the order of the
@@ -554,33 +522,38 @@ class _CoverSearch:
 
 def certificate_from(poset: CharPoset, intervals: list[Interval],
                      k: int) -> StanleyCertificate:
-    """The certificate of a cover of decision k, as sdepth_at_least returns
-    it: its intervals, then every element of the poset they leave uncovered
-    as a singleton, claiming the smallest top.  The intervals lie in the
-    poset, do not overlap and have tops of size k, as the search's do (a
-    top of another size is refused with ValueError); an empty cover gives
-    the all-singletons certificate and needs no search index.  The
-    uncovered masks come sorted from one numpy sort, and the smallest top
-    is k or the size of the lowest uncovered element."""
-    elements = poset.elements
-    uncovered = (1 << len(elements)) - 1
-    if intervals:
-        up, down = poset.search_index(k)
-        pos = poset.position
-        base = sum(level.bit_count() for level in poset.levels[:k])
-        for iv in intervals:
-            t = int(pos[iv.upper]) - base
-            if not 0 <= t < len(down):
-                raise ValueError(f"interval top {iv.upper} is no element of size {k}")
-            uncovered &= ~(up(int(pos[iv.lower])) & down[t])
-    left = np.flatnonzero(np.unpackbits(np.frombuffer(
-        uncovered.to_bytes(len(elements) // 8 + 1, "little"), dtype=np.uint8),
-        bitorder="little"))
-    singles = Interval.points(np.sort(poset.masks[left]).tolist())
-    # the elements are numbered size-major, so left[0] has the least size
-    claimed = min(k if intervals else poset.n,
-                  elements[left[0]].bit_count() if len(left) else poset.n)
-    return StanleyCertificate(intervals + singles, claimed)
+    """The certificate of a full cover of decision k, as sdepth_at_least
+    returns it: its intervals, then every element they leave uncovered as a
+    singleton, claiming k.  Such a cover holds every element of size < k
+    and, of size k, exactly its tops, so the singletons are the untopped
+    size-k elements and every larger one, their masks sorted by one numpy
+    sort.  The empty cover gives the all-singletons certificate, claiming
+    the least element size, at any k.
+
+    The intervals are taken to lie in the poset and not to overlap, as the
+    search's do.  Raises ValueError on a top that is no element of size k,
+    a repeated top, or a cover whose sum of 2^(k - |lower|) - 1, the
+    elements of size < k each interval holds, is not their number."""
+    if not intervals:
+        return StanleyCertificate(Interval.points(np.sort(poset.masks).tolist()),
+                                  poset.elements[0].bit_count())
+    sizes = [level.bit_count() for level in poset.levels]
+    base, end = sum(sizes[:k]), sum(sizes[:k + 1])
+    level = poset.elements[base:end]
+    tops = {iv.upper for iv in intervals}
+    untopped = np.array([s not in tops for s in level], dtype=bool)
+    if len(level) - np.count_nonzero(untopped) != len(tops):
+        on_level = set(level)
+        top = next(iv.upper for iv in intervals if iv.upper not in on_level)
+        raise ValueError(f"interval top {top} is no element of size {k}")
+    if len(tops) != len(intervals):
+        raise ValueError(f"two intervals share a top of size {k}")
+    held = sum((1 << (k - iv.lower.bit_count())) - 1 for iv in intervals)
+    if held != base:
+        raise ValueError(f"the intervals hold {held} elements of size < {k}, "
+                         f"not all {base}")
+    left = np.concatenate((poset.masks[base:end][untopped], poset.masks[end:]))
+    return StanleyCertificate(intervals + Interval.points(np.sort(left).tolist()), k)
 
 
 def _check_budget(budget) -> None:

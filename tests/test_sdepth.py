@@ -866,23 +866,22 @@ def _index_pairs():
 def _assert_index(poset, k, above, below):
     """Every entry the index of a decision at k holds is the reference's:
     ``above[a]`` and ``below[a]``, the bitmaps over all elements above and
-    below element a, cut to the prefix.  Asks ``up`` of every prefix
-    element, so the memo ends up holding them all."""
-    up, down = poset.search_index(k)
-    assert poset.indexed >= k
-    ranked = sum(m.bit_count() for m in poset.levels[:poset.indexed + 1])
+    below element a, cut to the elements of size <= k.  Asks ``up`` of each
+    of them, so the memo ends up holding them all.  Returns the decision."""
+    search = _CoverSearch(poset, k)
+    ranked = sum(m.bit_count() for m in poset.levels[:k + 1])
     prefix = (1 << ranked) - 1
-    assert poset.prefix == prefix
-    assert len(poset.has) <= poset.n
+    assert search.prefix == prefix
+    assert len(search.has) <= poset.n
     for b in range(poset.n):
-        assert (poset.has[b] if b < len(poset.has) else 0) == sum(
+        assert (search.has[b] if b < len(search.has) else 0) == sum(
             1 << a for a, s in enumerate(poset.elements[:ranked]) if s >> b & 1)
     base = sum(m.bit_count() for m in poset.levels[:k])
-    assert poset.downs == (k, down)
-    assert down == [below[a] & prefix
-                    for a in range(base, base + poset.levels[k].bit_count())]
-    assert [up(a) for a in range(ranked)] == [u & prefix for u in above[:ranked]]
-    assert poset.ups == {a: above[a] & prefix for a in range(ranked)}
+    assert search.down == [below[a] & prefix for a in range(base, ranked)]
+    assert [search.up(a) for a in range(ranked)] == \
+        [u & prefix for u in above[:ranked]]
+    assert search.up_memo == {a: above[a] & prefix for a in range(ranked)}
+    return search
 
 
 def test_search_index_matches_pair_scan():
@@ -896,53 +895,45 @@ def test_search_index_matches_pair_scan():
                  for s in poset.elements]
         below = [sum(1 << b for b, t in enumerate(poset.elements) if divides(t, s))
                  for s in poset.elements]
-        for a, s in enumerate(poset.elements):
-            assert poset.position[s] == a
+        assert poset.member == sum(1 << s for s in elements)
         assert poset.maximal_elements() == sorted(
             s for s in poset.elements
             if not any(t != s and divides(s, t) for t in poset.elements))
-        # every k in turn on one poset, each a rebuild for a higher level;
-        # the live tops of each k: every member of [s,t] in the poset, whose
-        # counts the search takes from its superset sum
+        # every k in turn on one poset; the live tops of each k: every
+        # member of [s,t] in the poset, whose counts the search takes from
+        # its superset sum
         for k in range(poset.n + 1):
-            _assert_index(poset, k, above, below)
+            search = _assert_index(poset, k, above, below)
             low = [s for s in poset.elements if s.bit_count() < k]
             live = [sum(1 << b for b, t in enumerate(poset.elements)
                         if t.bit_count() == k and divides(s, t)
                         and all(m in elements for m in Interval(s, t).members()))
                     for s in low]
-            search = _CoverSearch(poset, k)
             assert _live_tops(search) == live
             assert search.start_planes == bit_planes([c.bit_count() for c in live])
             assert search.root_dead == (not all(live))
+        # the decisions left no search state on the poset, whose only
+        # array is the masks of its elements
+        assert set(vars(poset)) == {"n", "masks", "elements", "levels", "member"}
 
 
 def test_level_index_is_the_full_index_on_its_prefix():
-    # the index of level L is the full lattice's restricted to the elements
-    # of size <= L, and a later request for a level at or below the one
-    # built keeps its prefix and the memo of up, and builds only the down
-    # of the new level
+    # the index of decision L is the full lattice's restricted to the
+    # elements of size <= L
     for j, i in _index_pairs():
-        *_, above, below = _full_lattice_index(build_char_poset(j, i))
+        poset = build_char_poset(j, i)
+        *_, above, below = _full_lattice_index(poset)
         for level in range(j.n + 1):
-            poset = build_char_poset(j, i)
             _assert_index(poset, level, above, below)
-            assert poset.indexed == level
-            has, ups = poset.has, poset.ups
-            for lower in range(level, -1, -1):
-                _assert_index(poset, lower, above, below)
-                assert poset.indexed == level
-                assert poset.has is has and poset.ups is ups
         # the elements with nothing but themselves above them
         assert poset.maximal_elements() == sorted(
             s for a, s in enumerate(poset.elements) if above[a] == 1 << a)
 
 
 def test_index_memo_gives_the_covers_of_fresh_posets():
-    # decisions for k ascending then descending on one poset: each rise
-    # rebuilds the index and must clear the memo of up, whose bitmaps over
-    # the shorter prefix lack the new level's tops; each fall reuses both.
-    # Every cover, node count and certificate is that of a fresh poset
+    # decisions for k ascending then descending on one poset: every cover,
+    # node count and certificate is that of a fresh poset, so no decision
+    # leaves state on the poset that a later one reads
     for j, i in _random_pairs(30, 15) + [NAMED_PINS["cyc:9:3"][:2]]:
         shared = build_char_poset(j, i)
         ks = list(range(j.n + 1))
@@ -969,7 +960,7 @@ def _list_zeta(values, n, upward):
 
 
 def _full_lattice_index(poset):
-    """Reference: order, position table, levels, up and down from zeta
+    """Reference: order, membership bits, levels, up and down from zeta
     transforms over all 2^n masks that carry the elements' bitmaps."""
     n = poset.n
     order = sorted(poset.elements, key=lambda s: (s.bit_count(), monomial_vars(s)))
@@ -980,10 +971,7 @@ def _full_lattice_index(poset):
         own[s] = 1 << a
     above = _list_zeta(own[:], n, upward=True)
     below = _list_zeta(own, n, upward=False)
-    position = [-1] * (1 << n)
-    for a, s in enumerate(order):
-        position[s] = a
-    return (order, position, levels,
+    return (order, sum(1 << s for s in order), levels,
             [above[s] for s in order], [below[s] for s in order])
 
 
@@ -991,9 +979,9 @@ def _full_lattice_index(poset):
 def test_search_index_matches_the_full_lattice_zeta(family):
     for n in range(8, 13):
         poset = build_char_poset(*family_module(family, n))
-        order, position, levels, above, below = _full_lattice_index(poset)
-        assert (poset.elements, poset.position.tolist(), poset.levels) == \
-            (order, position, levels), (family, n)
+        order, member, levels, above, below = _full_lattice_index(poset)
+        assert (poset.elements, poset.member, poset.levels) == \
+            (order, member, levels), (family, n)
         for k in range(n + 1):
             _assert_index(poset, k, above, below)
 
@@ -1048,20 +1036,38 @@ def _certificate_by_members(poset, intervals, k):
 
 
 def test_certificate_from_matches_member_enumeration():
-    checked = 0
+    # full covers and the empty one give the reference's certificate; a
+    # half cover, a repeated top and a top off the poset are refused, the
+    # repeated top also where the element count of the cover still holds
+    checked = refused = 0
     for j, i in _random_pairs(20, 8):
         poset = build_char_poset(j, i)
         for k in range(1, j.n + 1):
             search = _CoverSearch(poset, k)
             cover = (search.attempt(0) if all(_live_tops(search)) else None) or []
-            for used in sorted({0, len(cover) // 2, len(cover)}):
-                part = cover[:used]
+            for part in ([], cover):
                 got = certificate_from(poset, part, k)
                 want = _certificate_by_members(poset, part, k)
                 assert (got.intervals, got.claimed_sdepth) == \
-                    (want.intervals, want.claimed_sdepth), (k, used)
-                checked += bool(used)
-    assert checked > 20
+                    (want.intervals, want.claimed_sdepth), (k, len(part))
+            if not cover:
+                continue
+            checked += 1
+            if len(cover) > 1:
+                with pytest.raises(ValueError, match=f"elements of size < {k}"):
+                    certificate_from(poset, cover[:len(cover) // 2], k)
+                refused += 1
+            top = cover[0].upper
+            for extra in (cover[-1], Interval(top, top)):
+                with pytest.raises(ValueError, match="share a top"):
+                    certificate_from(poset, cover + [extra], k)
+            outside = next((m for m in range(1 << j.n) if m.bit_count() == k
+                            and not poset.member >> m & 1), None)
+            if outside is not None:
+                with pytest.raises(ValueError, match=f"no element of size {k}"):
+                    certificate_from(poset, cover[:-1] + [Interval(outside, outside)], k)
+                refused += 1
+    assert checked > 20 and refused > 20
 
 
 def test_budget_spent_before_any_decision_gives_the_singletons():
