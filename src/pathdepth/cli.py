@@ -32,23 +32,15 @@ class UsageError(Exception):
 PIPE_CLOSED = 141
 
 
-def _int_at_least(text: str, low: int, kind: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = low - 1
-    if value < low:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(
-            f"must be a {kind} integer, got {text!r}")
+            f"must be a positive integer, got {text!r}")
     return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1, "positive")
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0, "non-negative")
 
 
 def _read_json(path: str):
@@ -170,9 +162,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--n-max {args.n_max} exceeds {MAX_AMBIENT}")
     report = verify_suite(args.suite, args.n_min, args.n_max,
                           field_choice=FIELDS[args.field],
-                          node_budget=args.budget_nodes,
-                          depth_n_cap=args.depth_cap,
-                          sdepth_n_cap=args.sdepth_cap)
+                          node_budget=args.budget_nodes)
     if args.format == "json":
         text = json.dumps(report.to_json_obj(), indent=2)
     elif args.format == "csv":
@@ -238,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_positive_int, default=9)
     p.add_argument("--field", choices=FIELDS, default="q")
     p.add_argument("--budget-nodes", type=_positive_int)
-    p.add_argument("--depth-cap", type=_nonnegative_int)
-    p.add_argument("--sdepth-cap", type=_nonnegative_int)
     p.add_argument("--format", choices=["json", "csv", "table"],
                    default="table")
     p.add_argument("--out")

@@ -269,30 +269,21 @@ def _suite_instances(suite: str, n_min: int, n_max: int):
 
 def verify_suite(suite: str, n_min: int, n_max: int,
                  field_choice: Field = RATIONALS,
-                 node_budget: int | None = None,
-                 depth_n_cap: int | None = None,
-                 sdepth_n_cap: int | None = None) -> VerificationReport:
+                 node_budget: int | None = None) -> VerificationReport:
     """Run a family suite and compare both engines against the expectations.
 
-    Rows are computed one after another in the calling process.  A cap
-    skips the rows of its quantity past it; without one, each engine
-    decides how far it reaches.  Each instance with both quantities
-    computed also gets a stanley_inequality row: sdepth >= depth.
+    Rows are computed one after another in the calling process; each
+    engine decides how far it reaches (compute_row).  Each instance with
+    both quantities computed also gets a stanley_inequality row:
+    sdepth >= depth.
     """
-    caps = {"depth": depth_n_cap, "sdepth": sdepth_n_cap}
     report = VerificationReport()
     for family, n, m, quantities in _suite_instances(suite, n_min, n_max):
         computed = {}
         for quantity in quantities:
-            cap = caps[quantity]
-            if cap is not None and n > cap:
-                exp = expectation(family, n, quantity, m=m)
-                row = Row(family, n, m, quantity, exp.lo, exp.hi, None, SKIPPED,
-                          0.0, f"n > cap {cap}")
-            else:
-                row = compute_row(family, n, m, quantity, field_choice, node_budget)
-                if row.status != SKIPPED:
-                    computed[quantity] = row.computed
+            row = compute_row(family, n, m, quantity, field_choice, node_budget)
+            if row.status != SKIPPED:
+                computed[quantity] = row.computed
             report.rows.append(row)
         if len(computed) == 2:
             gap = computed["sdepth"] - computed["depth"]

@@ -78,9 +78,10 @@ class CharPoset:
     lies in it iff its ends do.  Elements are numbered in (size, lex)
     order, so each size is a run of numbers; ``elements`` lists them,
     ``masks`` is that list as an int64 array, ``levels[l]`` is the bitmap
-    over the numbers of the elements of size l and ``member`` is the 2^n
-    membership table (module_table) packed into one 2^n-bit int.  It holds
-    no search state: each decision builds its own index (_CoverSearch).
+    over the numbers of the elements of size l, ``sizes[l]`` their number,
+    and ``member`` is the 2^n membership table (module_table) packed into
+    one 2^n-bit int.  It holds no search state: each decision builds its
+    own index (_CoverSearch).
     """
 
     def __init__(self, j_ideal: MonomialIdeal, i_ideal: MonomialIdeal):
@@ -91,9 +92,9 @@ class CharPoset:
         self.masks = masks = masks[np.argsort(keys)]
         self.elements = masks.tolist()
         # a key's 2^n terms count its mask's size: size = ceil(key / 2^n)
-        counts = np.bincount(-(-keys >> n), minlength=n + 1).tolist()
-        ends = np.cumsum(counts).tolist()
-        self.levels = [(1 << e) - (1 << (e - c)) for e, c in zip(ends, counts)]
+        self.sizes = sizes = np.bincount(-(-keys >> n), minlength=n + 1).tolist()
+        ends = np.cumsum(sizes).tolist()
+        self.levels = [(1 << e) - (1 << (e - c)) for e, c in zip(ends, sizes)]
         self.member = int.from_bytes(np.packbits(table, bitorder="little")
                                      .tobytes(), "little")
 
@@ -318,7 +319,7 @@ class _CoverSearch:
         self.k = k
         self.nodes = 0
         self.levels = poset.levels[:k + 1]
-        sizes = [m.bit_count() for m in self.levels]
+        self.sizes = sizes = poset.sizes[:k + 1]
         self.n_low, self.n_ranked = sum(sizes[:k]), sum(sizes)
         self.forced = forced_intervals(sizes, k)
         masks = poset.masks[:self.n_ranked]
@@ -342,9 +343,8 @@ class _CoverSearch:
         counts = above[masks[:self.n_low]]
         self.root_dead = not counts.all()
         self.start_planes = bit_planes(counts)
-        # the size and first element number of each level <= k, and per
-        # level < k the number of live-top planes that can be nonzero on it
-        self.sizes = sizes
+        # the first element number of each level < k, and per level < k
+        # the number of live-top planes that can be nonzero on it
         self.starts = list(itertools.accumulate(sizes[:k], initial=0))
         self.widths = [max((j + 1 for j, p in enumerate(self.start_planes)
                             if p & level), default=0)
@@ -537,8 +537,7 @@ def certificate_from(poset: CharPoset, intervals: list[Interval],
     if not intervals:
         return StanleyCertificate(Interval.points(np.sort(poset.masks).tolist()),
                                   poset.elements[0].bit_count())
-    sizes = [level.bit_count() for level in poset.levels]
-    base, end = sum(sizes[:k]), sum(sizes[:k + 1])
+    base, end = sum(poset.sizes[:k]), sum(poset.sizes[:k + 1])
     level = poset.elements[base:end]
     tops = {iv.upper for iv in intervals}
     untopped = np.array([s not in tops for s in level], dtype=bool)
@@ -585,9 +584,8 @@ def upper_bound(poset: CharPoset) -> int:
     for every k <= sdepth, since a partition with tops of size >= k cuts
     into one with tops of size exactly k."""
     maximal = min(s.bit_count() for s in poset.maximal_elements())
-    sizes = [level.bit_count() for level in poset.levels]
     for k in range(1, maximal + 1):
-        if forced_intervals(sizes, k) is None:
+        if forced_intervals(poset.sizes, k) is None:
             return k - 1
     return maximal
 

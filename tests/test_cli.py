@@ -147,10 +147,14 @@ def test_budget_limited_certificates_say_inexact(tmp_path, capsys):
     ["depth", "--ideal-file", "ideal.json", "--n", "9"],  # n from the file
     ["sdepth", "--graph", "cycle", "--n", "4", "--m", "4",
      "--module", "subquotient"],                        # J_{4,4} = I_{4,4}
+    ["verify", "--depth-cap", "0"],                     # removed options
+    ["verify", "--sdepth-cap", "0"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert run_command(argv) == 2
-    assert "error: " in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -162,18 +166,6 @@ def test_usage_errors_exit_two(argv, capsys):
 def test_budget_must_be_positive(argv, budget, capsys):
     assert run_command([*argv, "--budget-nodes", budget]) == 2
     assert "must be a positive integer" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("option", ["--depth-cap", "--sdepth-cap"])
-@pytest.mark.parametrize("cap", ["-1", "-5", "x"])
-def test_verify_caps_must_be_nonnegative(option, cap, capsys):
-    argv = ["verify", "--suite", "j3", "--n-min", "4", "--n-max", "4"]
-    assert run_command([*argv, option, cap]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be a non-negative integer" in captured.err
-    assert run_command([*argv, option, "0"]) == 0
-    assert "n > cap 0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n_min, n_max", [(9, 3), (5, 4)])

@@ -133,14 +133,6 @@ def test_verify_suite_j3_statuses():
     assert all(r.computed >= 0 for r in ineq)
 
 
-def test_verify_suite_caps_skip_large_n():
-    report = verify_suite("jn1", 3, 9, sdepth_n_cap=5, depth_n_cap=6)
-    skipped = [r for r in report.rows if r.status == SKIPPED]
-    assert any(r.quantity == "sdepth" and r.n == 6 for r in skipped)
-    assert any(r.quantity == "depth" and r.n == 7 for r in skipped)
-    assert all("cap" in r.note for r in skipped)
-
-
 def test_report_formats():
     report = verify_suite("prop1", 4, 5)
     obj = report.to_json_obj()
@@ -163,21 +155,21 @@ def test_violation_detection():
 
 @pytest.mark.parametrize("family, sdepth", [("jn2", 7), ("j2", 4), ("j3", 5)])
 def test_default_sdepth_cap_settles_n10(family, sdepth):
-    # exact values inside the stated bounds, with no sdepth cap
-    report = verify_suite(family, 10, 10, depth_n_cap=0)
+    # exact values inside the stated bounds
+    report = verify_suite(family, 10, 10)
     rows = [r for r in report.rows if r.quantity == "sdepth"]
     assert [(r.computed, r.status) for r in rows] == [(sdepth, WITHIN_BOUNDS)]
 
 
 def test_default_depth_cap_computes_n16():
-    report = verify_suite("j3", 16, 16, sdepth_n_cap=0)
+    report = verify_suite("j3", 16, 16)
     depth = [r for r in report.rows if r.quantity == "depth"]
     assert [(r.computed, r.status) for r in depth] == [(8, MATCH)]
 
 
 def test_depth_rows_past_engine_cap_are_skipped():
     n = TABLE_MAX_N + 1
-    report = verify_suite("j2", n, n, depth_n_cap=n + 3, sdepth_n_cap=0)
+    report = verify_suite("j2", n, n)
     depth = [r for r in report.rows if r.quantity == "depth"]
     assert [r.status for r in depth] == [SKIPPED]
     assert f"cap {TABLE_MAX_N}" in depth[0].note
@@ -185,15 +177,14 @@ def test_depth_rows_past_engine_cap_are_skipped():
 
 def test_sdepth_rows_past_engine_cap_are_skipped():
     n = TABLE_MAX_N + 1
-    report = verify_suite("j2", n, n, depth_n_cap=0, sdepth_n_cap=n + 3)
+    report = verify_suite("j2", n, n)
     sdepth = [r for r in report.rows if r.quantity == "sdepth"]
     assert [r.status for r in sdepth] == [SKIPPED]
     assert f"cap {TABLE_MAX_N}" in sdepth[0].note
 
 
 def test_rows_past_the_engines_reach_carry_their_reason():
-    # no harness cap by default: each engine refuses n = 17 itself, and
-    # its message is the note
+    # each engine refuses n = 17 itself, and its message is the note
     report = verify_suite("all", 17, 17)
     assert report.rows and not report.has_violation
     assert {r.quantity for r in report.rows} == {"depth", "sdepth"}
@@ -224,10 +215,11 @@ def test_table_shows_bounds_and_dashes():
 def test_family_registry_drives_expectations_modules_and_suite(capsys):
     for name, fam in FAMILIES.items():
         for n in range(fam.suite_n_min, 10):
-            # every cap at 0: the suite lists its rows without computing them
-            report = verify_suite(name, n, n, depth_n_cap=0, sdepth_n_cap=0)
+            report = verify_suite(name, n, n)
             assert {r.m for r in report.rows} == set(fam.suite_ms(n))
-            assert {r.quantity for r in report.rows} == set(fam.quantities)
+            # both quantities computed add the inequality row
+            assert {r.quantity for r in report.rows} == set(fam.quantities) | (
+                {"stanley_inequality"} if len(fam.quantities) == 2 else set())
             for m in fam.suite_ms(n):
                 for quantity in ("depth", "sdepth", "stanley_inequality"):
                     if quantity in fam.quantities:

@@ -16,7 +16,7 @@ from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
                               bits, check_table_n, divides, monomial,
                               monomial_vars)
-from pathdepth.oracle import family_module
+from pathdepth.oracle import ceil_div, family_module, phi
 from pathdepth.sdepth import (BudgetExceeded, Interval, SdepthResult,
                               StanleyCertificate, _CoverSearch, bit_planes,
                               build_char_poset, certificate_from,
@@ -485,6 +485,24 @@ def test_counting_bound_binds_on_the_maximal_ideal():
         assert upper_bound(poset) == (n + 1) // 2, n
 
 
+def test_smallest_facet_of_cycle_quotients():
+    # a maximal element of P(S/J_{n,m}) is a facet of Delta(J_{n,m}): a
+    # maximal cyclic 0/1 word with no run of m ones.  For m = 3 a 0-run is
+    # at most 2 long, and a 0 of a run of two could be set unless the 1-run
+    # beside it has two ones, so each 0-run is no longer than the 1-run
+    # after it and a facet has >= n/2 ones; for m = 2 each 1-run is one 1
+    # and each 0-run at most 2 long, so >= n/3 ones.  1010... and
+    # 100100... attain ceil(n/2) and ceil(n/3).  At n = 2 (mod 4),
+    # ceil(n/2) = phi(n), the stated lower end of sdepth(S/J_{n,3})
+    for n in range(4, TABLE_MAX_N + 1):
+        for family, least in (("j3", ceil_div(n, 2)), ("j2", ceil_div(n, 3))):
+            poset = build_char_poset(*family_module(family, n))
+            smallest = min(s.bit_count() for s in poset.maximal_elements())
+            assert smallest == least, (family, n)
+        if n % 4 == 2:
+            assert ceil_div(n, 2) == phi(n)
+
+
 def _jn2_levels(n):
     """The level sizes of P(S/J_{n,n-2}) by counting: every l-subset for
     l < n - 2, the (n - 2)-subsets but the n cyclic windows, nothing above."""
@@ -891,6 +909,8 @@ def test_search_index_matches_pair_scan():
         assert _is_convex(elements, poset.n)
         assert elements == {s for s in range(1 << poset.n)
                             if j.contains(s) and not i.contains(s)}
+        assert poset.sizes == [m.bit_count() for m in poset.levels] == [
+            sum(s.bit_count() == l for s in elements) for l in range(poset.n + 1)]
         above = [sum(1 << b for b, t in enumerate(poset.elements) if divides(s, t))
                  for s in poset.elements]
         below = [sum(1 << b for b, t in enumerate(poset.elements) if divides(t, s))
@@ -914,7 +934,8 @@ def test_search_index_matches_pair_scan():
             assert search.root_dead == (not all(live))
         # the decisions left no search state on the poset, whose only
         # array is the masks of its elements
-        assert set(vars(poset)) == {"n", "masks", "elements", "levels", "member"}
+        assert set(vars(poset)) == {"n", "masks", "elements", "levels", "sizes",
+                                    "member"}
 
 
 def test_level_index_is_the_full_index_on_its_prefix():
