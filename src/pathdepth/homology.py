@@ -91,19 +91,18 @@ def _pair_off(start: list[int], alive: bytearray, vertices: list[int]) -> None:
                 work.append(x)
 
 
-def _star_cover(masks: np.ndarray, vertices: list[int],
+def _star_cover(vertices: list[int],
                 nonfaces: Sequence[int] | None) -> list[int]:
     """W, a set of vertices no two of which lie in one of the non-faces.
 
-    Vertices are taken greedily, the one in the most faces first and the
-    lowest on a tie, each skipped if a non-face holds it and a vertex
-    already taken.  With no non-faces given, W is that first vertex alone.
+    Vertices are taken greedily, lowest first, each skipped if a non-face
+    holds it and a vertex already taken.  With no non-faces given, W is
+    the lowest vertex alone.
     """
-    order = sorted(vertices, key=lambda v: -np.count_nonzero(masks & v))
     if nonfaces is None:
-        return order[:1]
+        return vertices[:1]
     cover, blocked = [], 0
-    for v in order:
+    for v in vertices:
         if not v & blocked:
             cover.append(v)
             for g in nonfaces:
@@ -122,8 +121,9 @@ def reduce_faces(faces: list[int] | np.ndarray,
     given, are non-faces of the complex such that every non-face contains
     one of them, its minimal non-faces say.  One numpy step first removes
     the union U of the closed stars st(w) over a set W of vertices no two of
-    which lie in one of them (_star_cover): every face τ with τ ∪ w a face
-    for some w in W.  For W' ⊆ W the stars' intersection is
+    which lie in one of them, taken greedily lowest first (_star_cover;
+    without non-faces W is the lowest vertex): every face τ with τ ∪ w a
+    face for some w in W.  For W' ⊆ W the stars' intersection is
     {τ : τ ∪ W' a face}, since one of the non-faces inside τ ∪ W' would
     meet W' in at most one vertex w and so lie inside the face τ ∪ w.  So
     every such intersection is a cone, the nerve theorem (Björner,
@@ -143,7 +143,7 @@ def reduce_faces(faces: list[int] | np.ndarray,
     alive[masks] = True
     vertices = [1 << b for b in bits(union)]
     if vertices:
-        cover = _star_cover(masks, vertices, nonfaces)
+        cover = _star_cover(vertices, nonfaces)
         rest = masks[masks & sum(cover) == 0]
         for w in cover:
             rest = rest[~alive[rest | w]]

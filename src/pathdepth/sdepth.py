@@ -24,7 +24,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -113,30 +113,18 @@ class CharPoset:
         return list(bits(member & ~covered))
 
 
-@dataclass(frozen=True)
-class Interval:
-    """The interval [lower, upper] in the subset lattice."""
+class Interval(NamedTuple):
+    """The interval [lower, upper] in the subset lattice.  It is made
+    without checking that lower divides upper: the search makes only
+    intervals that do, and an interval from outside is checked where it
+    comes in (StanleyCertificate.from_dict refuses it, and
+    validate_decomposition judges it invalid)."""
 
     lower: int
     upper: int
 
-    def __post_init__(self):
-        if not divides(self.lower, self.upper):
-            raise ValueError("interval lower must divide upper")
-
     def members(self):
         return (self.lower | sub for sub in subsets(self.upper ^ self.lower))
-
-    @classmethod
-    def points(cls, masks) -> list[Interval]:
-        """The intervals [s,s] of ``masks``, made without the divides check
-        of ``__post_init__``, which every [s,s] passes."""
-        points, new = [], object.__new__
-        for s in masks:
-            point = new(cls)
-            point.__dict__.update(lower=s, upper=s)
-            points.append(point)
-        return points
 
 
 @dataclass
@@ -161,13 +149,17 @@ class StanleyCertificate:
 
     @classmethod
     def from_dict(cls, data: dict, n: int) -> "StanleyCertificate":
-        """Certificate from its to_dict form; ValueError if malformed."""
+        """Certificate from its to_dict form; ValueError if malformed or if
+        an interval's lower end does not divide its upper end."""
         try:
             ivs = [Interval(monomial(d["lower"], n), monomial(d["upper"], n))
                    for d in data["intervals"]]
-            return cls(ivs, integer(data["sdepth"]))
+            claim = integer(data["sdepth"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate: {exc!r}") from exc
+        if not all(divides(iv.lower, iv.upper) for iv in ivs):
+            raise ValueError("interval lower must divide upper")
+        return cls(ivs, claim)
 
 
 @dataclass
@@ -294,8 +286,6 @@ class _CoverSearch:
     ``start_planes`` holds each element's number of candidate tops; an
     attempt works on a copy, ``planes``, which placing [s,t] lowers by one
     for the uncovered elements below t and undoing the placement restores.
-    Counts only fall, so on each level the planes above the bit length of
-    its largest start count stay zero, and the branch pick skips them.
 
     The search index is the decision's own and holds only what it reads,
     over the elements of size <= k, a prefix of the size-major numbering
@@ -343,17 +333,13 @@ class _CoverSearch:
         counts = above[masks[:self.n_low]]
         self.root_dead = not counts.all()
         self.start_planes = bit_planes(counts)
-        # the first element number of each level < k, and per level < k
-        # the number of live-top planes that can be nonzero on it
+        # the first element number of each level <= k
         self.starts = list(itertools.accumulate(sizes[:k], initial=0))
-        self.widths = [max((j + 1 for j, p in enumerate(self.start_planes)
-                            if p & level), default=0)
-                       for level in self.levels[:k]]
         self.failed: set[int] = set()
         # of the current attempt: the live-top planes, the dense ranks of
         # the elements of size <= k, and per level < k its bitmap, first
-        # number, plane count and level-local rank planes (None under
-        # attempt 0, whose ranks are the element numbers)
+        # number and level-local rank planes (None under attempt 0, whose
+        # ranks are the element numbers)
         self.planes: list[int] = []
         self.rank = range(0)
         self.low: list[tuple] = []
@@ -418,9 +404,9 @@ class _CoverSearch:
         bitmap of the elements that lost a live top since the parent state,
         so only they can have lost their last one: a bit clear in every
         plane.  The branch is the least-count set of the lowest live level,
-        read from the planes that can be nonzero on it, then the least rank
-        in it, read at the level's own positions: the lowest bit under
-        attempt 0, the level's rank planes after that."""
+        read from the planes, then the least rank in it, read at the level's
+        own positions: the lowest bit under attempt 0, the level's rank
+        planes after that."""
         planes = self.planes
         for p in planes:
             if not walked:
@@ -428,7 +414,7 @@ class _CoverSearch:
             walked ^= walked & p
         if walked:
             return -1
-        for level, lo, width, ranked in self.low:
+        for level, lo, ranked in self.low:
             live = level & uncovered
             if live:
                 break
@@ -437,7 +423,7 @@ class _CoverSearch:
         if self.forced is None or uncovered in self.failed:
             self.failed.add(uncovered)
             return -1
-        branches = least(live, planes[:width]) >> lo
+        branches = least(live, planes) >> lo
         if ranked is None:
             # the lowest bit alone, as b ^ (b - 1) sets it and the bits below
             return lo + (branches ^ (branches - 1)).bit_length() - 1
@@ -457,7 +443,7 @@ class _CoverSearch:
         Every cube it places lies in its uncovered bitmap (the fit test), so
         placing one clears it with ``^`` and no negative int."""
         self.rank, ranked = self._ranks(a)
-        self.low = list(zip(self.levels, self.starts, self.widths, ranked))
+        self.low = list(zip(self.levels[:self.k], self.starts, ranked))
         self.planes = planes = self.start_planes[:]
         order, up, down = self.poset.elements, self.up, self.down
         # the tops are the size-k elements, base, base + 1, ...: a state
@@ -535,7 +521,8 @@ def certificate_from(poset: CharPoset, intervals: list[Interval],
     a repeated top, or a cover whose sum of 2^(k - |lower|) - 1, the
     elements of size < k each interval holds, is not their number."""
     if not intervals:
-        return StanleyCertificate(Interval.points(np.sort(poset.masks).tolist()),
+        masks = np.sort(poset.masks).tolist()
+        return StanleyCertificate([Interval(s, s) for s in masks],
                                   poset.elements[0].bit_count())
     base, end = sum(poset.sizes[:k]), sum(poset.sizes[:k + 1])
     level = poset.elements[base:end]
@@ -552,7 +539,8 @@ def certificate_from(poset: CharPoset, intervals: list[Interval],
         raise ValueError(f"the intervals hold {held} elements of size < {k}, "
                          f"not all {base}")
     left = np.concatenate((poset.masks[base:end][untopped], poset.masks[end:]))
-    return StanleyCertificate(intervals + Interval.points(np.sort(left).tolist()), k)
+    left = np.sort(left).tolist()
+    return StanleyCertificate(intervals + [Interval(s, s) for s in left], k)
 
 
 def _check_budget(budget) -> None:
@@ -626,7 +614,8 @@ def validate_decomposition(cert: StanleyCertificate,
                            i_ideal: MonomialIdeal) -> ValidationResult:
     """Check that a certificate is a genuine interval partition of the poset
     by walking each member against module_table and a bytearray of the masks
-    not yet covered, with no CharPoset.  A pair past the table cap is
+    not yet covered, with no CharPoset; an interval whose lower end does not
+    divide its upper end is invalid before its members are walked.  A pair past the table cap is
     refused with ValueError, not judged."""
     check_table_n(j_ideal.n)
     try:
@@ -636,6 +625,8 @@ def validate_decomposition(cert: StanleyCertificate,
     in_poset = table.tobytes()
     uncovered = bytearray(in_poset)
     for iv in cert.intervals:
+        if not divides(iv.lower, iv.upper):
+            return ValidationResult(False, "interval lower does not divide upper")
         for m in iv.members():
             # m >> n catches a negative m and a bit at or past n before the lookup
             if m >> j_ideal.n or not in_poset[m]:

@@ -16,7 +16,7 @@ from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import (TABLE_MAX_N, MonomialIdeal, VarPermutation,
                               bits, check_table_n, divides, monomial,
                               monomial_vars)
-from pathdepth.oracle import ceil_div, family_module, phi
+from pathdepth.oracle import FAMILIES, ceil_div, family_module, phi
 from pathdepth.sdepth import (BudgetExceeded, Interval, SdepthResult,
                               StanleyCertificate, _CoverSearch, bit_planes,
                               build_char_poset, certificate_from,
@@ -51,19 +51,11 @@ def test_char_poset_rejects_non_inclusion():
 def test_interval_members():
     iv = Interval(0b0001, 0b1011)
     assert sorted(iv.members()) == [0b0001, 0b0011, 0b1001, 0b1011]
-    with pytest.raises(ValueError):
-        Interval(0b10, 0b01)
 
 
 def test_only_point_intervals_skip_the_divides_check():
-    # certificate_from makes its singletons without the check; an interval
-    # made or read from outside is still refused unless lower divides upper
-    points = Interval.points([0, 0b101, 1 << 15])
-    assert points == [Interval(s, s) for s in (0, 0b101, 1 << 15)]
-    assert all(type(p) is Interval for p in points)
+    # an interval read from outside is refused unless lower divides upper
     for lower, upper in [(0b10, 0b01), (0b11, 0b01), (0b100, 0)]:
-        with pytest.raises(ValueError, match="lower must divide upper"):
-            Interval(lower, upper)
         data = {"sdepth": 1, "intervals": [
             {"lower": list(monomial_vars(0b1)), "upper": [1, 2]},
             {"lower": list(monomial_vars(lower)), "upper": list(monomial_vars(upper))}]}
@@ -501,6 +493,34 @@ def test_smallest_facet_of_cycle_quotients():
             assert smallest == least, (family, n)
         if n % 4 == 2:
             assert ceil_div(n, 2) == phi(n)
+
+
+def _cycle_levels(n, m):
+    """The level sizes of P(S/J_{n,m}), m <= n, by runs with no poset: per
+    l, the cyclic 0/1 words of length n with l ones and no m cyclically
+    consecutive ones.  A word with z >= 1 zeros and one of them marked is
+    the marked zero's position and the z runs of ones that follow each
+    zero, each below m long, so the words number n/z times the
+    compositions of l = n - z into z parts in 0..m-1; the all-ones word
+    holds m consecutive ones."""
+    sizes, runs = [0] * (n + 1), [1]
+    for z in range(1, n + 1):
+        # runs[l]: the compositions of l into z parts in 0..m-1
+        runs = [sum(runs[max(0, l - m + 1):l + 1])
+                for l in range(len(runs) + m - 1)]
+        if n - z < len(runs):
+            count, rest = divmod(n * runs[n - z], z)
+            assert rest == 0, (n, m, z)
+            sizes[n - z] = count
+    return sizes
+
+
+def test_run_count_gives_the_levels_of_cycle_quotients():
+    for n in range(5, 15):
+        for family in ("j2", "j3", "jn1", "jn2"):
+            poset = build_char_poset(*family_module(family, n))
+            m = FAMILIES[family].row_m(n, None)
+            assert poset.sizes == _cycle_levels(n, m), (family, n)
 
 
 def _jn2_levels(n):
@@ -1154,6 +1174,8 @@ def _validate_by_walk(cert, j_ideal, i_ideal):
         return ValidationResult(False, f"bad module pair: {exc}")
     seen = set()
     for iv in cert.intervals:
+        if not divides(iv.lower, iv.upper):
+            return ValidationResult(False, "interval lower does not divide upper")
         for m in iv.members():
             if m not in elements:
                 return ValidationResult(False, "interval leaves the poset")
@@ -1172,14 +1194,17 @@ def _validate_by_walk(cert, j_ideal, i_ideal):
 def _mutants(cert, elements, n):
     """Certificates one edit away from a valid one: an interval dropped or
     duplicated, an upper end grown by a variable, a singleton off the
-    poset, a mask with bit n set, a negative mask, the claim off by one."""
+    poset, a mask with bit n set, a negative mask, an interval whose lower
+    end does not divide its upper end (Interval does not check), the claim
+    off by one."""
     ivs, claim = cert.intervals, cert.claimed_sdepth
     grow = next((a for a, iv in enumerate(ivs) if iv.upper != (1 << n) - 1), None)
     outside = next(m for m in range(1 << n) if m not in elements)
     edited = [ivs[1:], ivs + ivs[:1],
               ivs + [Interval(outside, outside)],
               [Interval(ivs[0].lower, ivs[0].upper | 1 << n)] + ivs[1:],
-              ivs[:len(ivs) // 2] + [Interval(-1, -1)] + ivs[len(ivs) // 2:]]
+              ivs[:len(ivs) // 2] + [Interval(-1, -1)] + ivs[len(ivs) // 2:],
+              [Interval(0b10, 0b01)] + ivs, ivs + [Interval(0b100, 0)]]
     if grow is not None:
         iv = ivs[grow]
         free = (iv.upper + 1) & ~iv.upper  # its lowest clear bit
@@ -1205,6 +1230,7 @@ def test_validate_matches_the_member_walk():
     assert reasons == {None, "interval leaves the poset", "overlapping intervals",
                        "intervals do not cover the poset",
                        "claimed sdepth differs from min |upper|",
+                       "interval lower does not divide upper",
                        "bad module pair: I is not contained in J"}
 
 
