@@ -8,7 +8,7 @@ and Stanley depth engines against them instance by instance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable
 
 from .betti import Field, RATIONALS, depth_quotient
@@ -172,10 +172,6 @@ class Row:
     elapsed: float
     note: str = ""
 
-    def sort_key(self):
-        return (self.family, self.n, self.m if self.m is not None else -1,
-                self.quantity)
-
 
 @dataclass
 class VerificationReport:
@@ -185,30 +181,25 @@ class VerificationReport:
     def has_violation(self) -> bool:
         return any(r.status == VIOLATION for r in self.rows)
 
-    def sorted_rows(self):
-        return sorted(self.rows, key=Row.sort_key)
-
     def to_json_obj(self):
         return [
             {"family": r.family, "n": r.n, "m": r.m, "quantity": r.quantity,
              "expected": [r.expected_lo, r.expected_hi], "computed": r.computed,
              "status": r.status, "elapsed": round(r.elapsed, 4), "note": r.note}
-            for r in self.sorted_rows()
+            for r in self.rows
         ]
 
     def to_csv_lines(self):
-        out = ["family,n,m,quantity,expected_lo,expected_hi,computed,status,elapsed,note"]
-        for r in self.sorted_rows():
-            out.append(",".join(str(x if x is not None else "") for x in
-                                (r.family, r.n, r.m, r.quantity, r.expected_lo,
-                                 r.expected_hi, r.computed, r.status,
-                                 f"{r.elapsed:.4f}", r.note)))
+        out = [",".join(f.name for f in fields(Row))]
+        for r in self.rows:
+            cells = astuple(replace(r, elapsed=f"{r.elapsed:.4f}"))
+            out.append(",".join("" if x is None else str(x) for x in cells))
         return out
 
     def to_table_lines(self):
         out = [f"{'family':8} {'n':>3} {'m':>3} {'quantity':18} "
                f"{'expected':>10} {'computed':>8} {'status':14} note"]
-        for r in self.sorted_rows():
+        for r in self.rows:
             if r.expected_lo is None:
                 exp = "-"
             elif r.expected_lo == r.expected_hi:
@@ -259,11 +250,12 @@ def compute_row(family: str, n: int, m: int | None, quantity: str,
 
 
 def _suite_instances(suite: str, n_min: int, n_max: int):
-    """(family, n, m, quantities) tuples for a suite selection."""
+    """(family, n, m, quantities) tuples for a suite selection, by family
+    name, then n, then m: the order verify prints its rows in."""
     families = FAMILIES if suite == "all" else {suite: _family(suite)}
     return [(name, n, m, fam.quantities)
-            for n in range(n_min, n_max + 1)
-            for name, fam in families.items() if n >= fam.suite_n_min
+            for name, fam in sorted(families.items())
+            for n in range(max(n_min, fam.suite_n_min), n_max + 1)
             for m in fam.suite_ms(n)]
 
 

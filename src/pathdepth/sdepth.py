@@ -233,39 +233,38 @@ def ranked_bits(cand: int, planes: list[int], rank: Callable[[int], int]):
         yield from sorted(bits(cand ^ first), key=rank)
 
 
+def counting_rows(sizes: list[int]):
+    """The rows k = 0, 1, ... of the level-counting table of ``sizes[l]``
+    poset elements of size l: row k is row k - 1 with sizes[k] appended,
+    then differenced, the coefficients of sum_l sizes[l] u^l (1 - u)^(k - l).
+
+    An interval with |lower| = a and |top| = k covers C(k - a, l - a)
+    elements of size l, so in a cover for "sdepth >= k" with f_a intervals
+    of lower size a, sum_l sizes[l] u^l = sum_a f_a u^a (1 + u)^(k - a) +
+    (sizes[k] - F) u^k, F = sum f_a.  Put u / (1 - u) for u: row k is
+    f_0, ..., f_(k-1), sizes[k] - F, and a cover needs all of it >= 0."""
+    row: list[int] = []
+    for size in sizes:
+        row.append(size)
+        row = row[:1] + [b - a for a, b in zip(row, row[1:])]
+        yield row
+
+
 def forced_intervals(sizes: list[int], k: int) -> list[int] | None:
-    """Per lower size a < k, the number f_a of intervals with a lower end of
-    size a in every cover for "sdepth >= k", or None if counting rules a
-    cover out; ``sizes[l]`` is the number of poset elements of size l.
+    """The f_a of row k of counting_rows, or None if it rules a cover out.
 
-    An interval with |lower| = a and |top| = k is a full cube: it covers
-    C(k - a, l - a) elements of size l.  So f_l = sizes[l] - sum_{a<l} f_a
-    C(k - a, l - a), a triangular system with one solution, and a cover
-    needs every f_l >= 0 and F = sum f_l <= sizes[k] distinct tops.  Each
-    level's terms f_a C(k - a, l - a) come from the last level's, times
-    (k - l + 1) / (l - a), exactly, with no binomial evaluated.
-
-    The search solves this once, for its root: below the root the system on
-    a node's uncovered counts cannot fail.  With h_a intervals of lower size
-    a placed, its solution is f - h.  The search branches on the lowest
-    level with an uncovered element, so when it places an interval of lower
-    size a, every level below a is covered (h_s = f_s for s < a), f_a - h_a
-    is the number of uncovered elements of size a (>= 1), and h_l = 0 for
-    l > a (such a placement needs level a covered, and no step away from
-    the root uncovers an element).  So f - h stays >= 0, and with P
-    intervals placed the total condition, F - P <= sizes[k] - P, is the
-    root's own.
+    The search reads them once, for its root: below the root the counts of
+    a node's uncovered elements cannot fail.  With h_a intervals of lower
+    size a placed, their solution is f - h.  The search branches on the
+    lowest level with an uncovered element, so when it places an interval
+    of lower size a, every level below a is covered (h_s = f_s for s < a),
+    f_a - h_a is the number of uncovered elements of size a (>= 1), and
+    h_l = 0 for l > a (such a placement needs level a covered, and no step
+    away from the root uncovers an element).  So f - h stays >= 0, and the
+    untopped count sizes[k] - F is the root's own.
     """
-    forced, placed = [], []
-    for l in range(k):
-        grow = k - l + 1
-        placed = [p * grow // d for p, d in zip(placed, range(l, 0, -1))]
-        need = sizes[l] - sum(placed)
-        if need < 0:
-            return None
-        forced.append(need)
-        placed.append(need)
-    return forced if sum(forced) <= sizes[k] else None
+    *_, row = counting_rows(sizes[:k + 1])
+    return row[:-1] if min(row) >= 0 else None
 
 
 class _CoverSearch:
@@ -567,13 +566,13 @@ def sdepth_at_least(poset: CharPoset, k: int, budget=None):
 def upper_bound(poset: CharPoset) -> int:
     """U >= sdepth, the smaller of two bounds: the size of the smallest
     maximal element (Herzog, Vladoiu and Zheng 2009), and one less than the
-    least k at which forced_intervals rules out a cover from the level
-    counts alone (Biró, Howard, Keller, Trotter and Young 2010).  Both hold
-    for every k <= sdepth, since a partition with tops of size >= k cuts
-    into one with tops of size exactly k."""
+    least k whose counting row has a negative entry (Biró, Howard, Keller,
+    Trotter and Young 2010), read in one walk over counting_rows.  Both
+    hold for every k <= sdepth, since a partition with tops of size >= k
+    cuts into one with tops of size exactly k."""
     maximal = min(s.bit_count() for s in poset.maximal_elements())
-    for k in range(1, maximal + 1):
-        if forced_intervals(poset.sizes, k) is None:
+    for k, row in enumerate(counting_rows(poset.sizes[:maximal + 1])):
+        if min(row) < 0:
             return k - 1
     return maximal
 
@@ -615,8 +614,8 @@ def validate_decomposition(cert: StanleyCertificate,
     """Check that a certificate is a genuine interval partition of the poset
     by walking each member against module_table and a bytearray of the masks
     not yet covered, with no CharPoset; an interval whose lower end does not
-    divide its upper end is invalid before its members are walked.  A pair past the table cap is
-    refused with ValueError, not judged."""
+    divide its upper end is invalid before its members are walked.  A pair
+    past the table cap is refused with ValueError, not judged."""
     check_table_n(j_ideal.n)
     try:
         table = module_table(j_ideal, i_ideal)

@@ -146,6 +146,17 @@ def test_report_formats():
     assert "prop1" in table[1]
 
 
+def test_verify_rows_come_in_print_order():
+    # computed family by family, then by n and m, each instance's depth,
+    # sdepth and stanley_inequality rows in turn: the formatters print
+    # report.rows as they stand
+    rows = verify_suite("all", 3, 7).rows
+    keys = [(r.family, r.n, -1 if r.m is None else r.m, r.quantity)
+            for r in rows]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert {r.family for r in rows} == set(FAMILIES)
+
+
 def test_violation_detection():
     report = verify_suite("j2", 3, 4)
     assert not report.has_violation

@@ -20,8 +20,9 @@ from pathdepth.oracle import FAMILIES, ceil_div, family_module, phi
 from pathdepth.sdepth import (BudgetExceeded, Interval, SdepthResult,
                               StanleyCertificate, _CoverSearch, bit_planes,
                               build_char_poset, certificate_from,
-                              forced_intervals, least, luby, ranked_bits,
-                              sdepth_at_least, size_lex_keys, stanley_depth, upper_bound,
+                              counting_rows, forced_intervals, least, luby,
+                              ranked_bits, sdepth_at_least, size_lex_keys,
+                              stanley_depth, upper_bound,
                               ValidationResult, validate_decomposition)
 
 
@@ -299,11 +300,15 @@ NAMED_PINS = {
 }
 
 # the walk up with its restarts, recorded when they were introduced; max:9
-# settles every decision inside its first slice
+# settles every decision inside its first slice.  The n = 13 family rows,
+# recorded later, pin them on states of 374 to 2718 bits, against 238 above
 RESTARTED_PINS = {
     "cyc:9:3": (MonomialIdeal.whole_ring(9), cycle_ideal(9, 3), 5, 193,
                 "ce2849744ba537bc"),
     "max:9": NAMED_PINS["max:9"],
+    "j2:13": (*family_module("j2", 13), 5, 653, "2d9e10e42fcceecf"),
+    "j3:13": (*family_module("j3", 13), 7, 1825, "5b7dd3a34c1d6dfa"),
+    "prop1:13": (*family_module("prop1", 13), 8, 238, "673882df979c540f"),
 }
 
 # stanley_depth's own node totals, which descend from upper_bound: on the
@@ -312,7 +317,8 @@ RESTARTED_PINS = {
 # are the pins above
 TOP_DOWN_NODES = [6, 11, 14, 7, 9, 3, 7, 8, 7, 5,
                   11, 11, 8, 5, 5, 21, 11, 8, 10, 17]
-TOP_DOWN_NAMED_NODES = {"cyc:9:3": 105, "max:9": 70}
+TOP_DOWN_NAMED_NODES = {"cyc:9:3": 105, "max:9": 70,
+                        "j2:13": 480, "j3:13": 714, "prop1:13": 96}
 
 
 def _digest(cert):
@@ -647,6 +653,25 @@ def test_forced_intervals_solve_the_level_counts():
     # too many tops: 3 forced intervals for 2 elements of size k
     assert forced_intervals([0, 3, 2], 2) is None
     assert forced_intervals([5], 0) == []
+
+
+def test_counting_rows_are_the_alternating_sums():
+    # entry a of row k is sum_{l <= a} (-1)^(a - l) C(k - l, a - l) sizes[l],
+    # the coefficient of u^a in sum_l sizes[l] u^l (1 - u)^(k - l); its
+    # first k entries are forced_intervals unless one of the row is negative
+    rng = random.Random(30)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        sizes = [rng.randint(0, comb(n, l)) for l in range(n + 1)]
+        for k, row in enumerate(counting_rows(sizes)):
+            assert row == [sum((-1) ** (a - l) * comb(k - l, a - l) * sizes[l]
+                               for l in range(a + 1))
+                           for a in range(k + 1)], (sizes, k)
+            covers = min(row) >= 0
+            assert forced_intervals(sizes, k) == (row[:k] if covers else None)
+            verdicts[covers] += 1
+    assert min(verdicts.values()) > 200, verdicts
 
 
 def test_covers_place_the_forced_intervals_per_lower_size():
