@@ -19,6 +19,10 @@ from .linalg import INT64_SAFE
 
 TAYLOR_MAX_GENS = 12
 
+# (field's p, _shape key) -> β row {i: β_{i,σ}} of a connected σ with that
+# shape, kept for the process (hochster_betti); rows are never mutated
+SHAPE_ROWS: dict[tuple[int | None, tuple[int, ...]], dict[int, int]] = {}
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -93,26 +97,27 @@ def _shape(mask: int, gens) -> tuple[int, ...]:
     generators rotates their gaps along, so the key is the same for every
     rotation of them: equal keys are exactly the generator sets equal up to
     a cyclic shift, which give isomorphic restricted complexes.  A missed
-    isomorphism only costs a cache hit.
+    isomorphism only costs a table hit.
     """
-    k = mask.bit_count()
-    full = (1 << k) - 1
-    runs = []  # (first bit, run mask, packed offset) per run of set bits
-    rest, offset = mask, 0
-    while rest:
-        low = rest & -rest
-        run = rest & ~(rest + low)
-        runs.append((low.bit_length() - 1, run, offset))
-        offset += run.bit_count()
+    inside = [g for g in gens if g | mask == mask]
+    packed, rest, k = None, mask, 0
+    while rest:  # one run of set bits of mask per pass, packed onto k..
+        low = rest ^ (rest & (rest - 1))
+        run = rest & (rest ^ (rest + low))
+        shift = low.bit_length() - 1 - k
+        packed = ([(g & run) >> shift for g in inside] if packed is None else
+                  [p | (g & run) >> shift for p, g in zip(packed, inside)])
+        k += run.bit_count()
         rest ^= run
-    packed = [sum((g & run) >> first << off for first, run, off in runs)
-              for g in gens if g & ~mask == 0]
+    full = (1 << k) - 1
     joined = 0
     for r in packed:
         joined |= r & ((r << 1 | r >> (k - 1)) & full)
-    gaps = full & ~joined
+    gaps = full ^ joined
+    starts = ((gaps.bit_length() - 1,) if gaps and not gaps & (gaps - 1) else
+              bits(gaps) if gaps else range(k))
     return min(tuple(sorted(((r >> s) | (r << (k - s))) & full for r in packed))
-               for s in (bits(gaps) if gaps else range(k)))
+               for s in starts)
 
 
 def _convolve(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
@@ -155,7 +160,8 @@ def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable
     with index i = |c| - 1 - d adding up.  Let P be the piece that holds
     σ's lowest variable: σ ∖ P < σ is lcm-closed and its pieces are σ's
     other pieces, so row(σ) = row(P) ⊛ row(σ ∖ P) from two rows already
-    known.  A connected σ has its row kept by shape, and only a new shape
+    known.  A connected σ's row depends only on the field and its _shape,
+    so SHAPE_ROWS keeps it for the process: only a shape new to the process
     has its complex reduced and ranked.  The faces of Δ are the masks with
     lcm 0, one ascending int64 array, and those of Δ_σ are its masks inside
     σ, one numpy filter of it: still ascending, from the empty face, and
@@ -180,20 +186,19 @@ def hochster_betti(ideal: MonomialIdeal, field: Field = RATIONALS) -> BettiTable
     del table
     pieces = _lowest_pieces(sigmas, ideal.gens)
     rows: dict[int, dict[int, int]] = {}
-    by_shape: dict[tuple[int, ...], dict[int, int]] = {}
     products: dict[tuple[int, int], dict[int, int]] = {}
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for sigma, piece in zip(sigmas.tolist(), pieces.tolist()):
         if piece == sigma:
-            key = _shape(sigma, ideal.gens)
-            row = by_shape.get(key)
+            key = (field.p, _shape(sigma, ideal.gens))
+            row = SHAPE_ROWS.get(key)
             if row is None:
-                inside = [g for g in ideal.gens if g & ~sigma == 0]
+                inside = [g for g in ideal.gens if g | sigma == sigma]
                 ranks = reduced_homology_ranks(delta[delta & ~sigma == 0], field,
                                                inside)
                 size = sigma.bit_count()
-                row = {size - 1 - d: r for d, r in ranks.items()}
-                by_shape[key] = row
+                row = SHAPE_ROWS[key] = {size - 1 - d: r
+                                         for d, r in ranks.items()}
         else:
             left, right = rows[piece], rows[sigma ^ piece]
             pair = (id(left), id(right))

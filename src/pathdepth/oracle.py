@@ -214,17 +214,19 @@ class VerificationReport:
 
 
 def compute_row(family: str, n: int, m: int | None, quantity: str,
+                module: tuple[MonomialIdeal, MonomialIdeal],
                 field_choice: Field = RATIONALS,
                 node_budget: int | None = None) -> Row:
     """Evaluate one harness row: compute, compare, classify.
 
-    A row the budget cuts, or that an engine refuses past its table cap,
-    is SKIPPED; its note gives the reason.
+    ``module`` is the instance's (J, I) pair, from family_module.  A row
+    the budget cuts, or that an engine refuses past its table cap, is
+    SKIPPED; its note gives the reason.
     """
     start = time.perf_counter()
     exp = expectation(family, n, quantity, m=m)
     m = FAMILIES[family].row_m(n, m)
-    j_ideal, i_ideal = family_module(family, n, m)
+    j_ideal, i_ideal = module
     note = ""
     try:
         if quantity == "depth":
@@ -265,15 +267,18 @@ def verify_suite(suite: str, n_min: int, n_max: int,
     """Run a family suite and compare both engines against the expectations.
 
     Rows are computed one after another in the calling process; each
-    engine decides how far it reaches (compute_row).  Each instance with
+    engine decides how far it reaches (compute_row).  Each instance's
+    (J, I) pair is built once, for all of its rows.  Each instance with
     both quantities computed also gets a stanley_inequality row:
     sdepth >= depth.
     """
     report = VerificationReport()
     for family, n, m, quantities in _suite_instances(suite, n_min, n_max):
+        module = family_module(family, n, m)
         computed = {}
         for quantity in quantities:
-            row = compute_row(family, n, m, quantity, field_choice, node_budget)
+            row = compute_row(family, n, m, quantity, module, field_choice,
+                              node_budget)
             if row.status != SKIPPED:
                 computed[quantity] = row.computed
             report.rows.append(row)

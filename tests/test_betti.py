@@ -362,6 +362,80 @@ def test_gap_shape_key_gives_the_all_shifts_classes(ideals):
             len({old for _, old in keys}), str(ideal)
 
 
+def _runs_shape(mask, gens):
+    """The shape key as first written: a sum of shifted runs per generator
+    and a min over the rotations that start at a gap (all k with none)."""
+    k = mask.bit_count()
+    full = (1 << k) - 1
+    runs = []  # (first bit, run mask, packed offset) per run of set bits
+    rest, offset = mask, 0
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)
+        runs.append((low.bit_length() - 1, run, offset))
+        offset += run.bit_count()
+        rest ^= run
+    packed = [sum((g & run) >> first << off for first, run, off in runs)
+              for g in gens if g & ~mask == 0]
+    joined = 0
+    for r in packed:
+        joined |= r & ((r << 1 | r >> (k - 1)) & full)
+    gaps = full & ~joined
+    return min(tuple(sorted(((r >> s) | (r << (k - s))) & full for r in packed))
+               for s in (bits(gaps) if gaps else range(k)))
+
+
+def _gap_count(mask, gens):
+    """Positions j of mask, in cyclic bit order, where no generator inside
+    mask holds both the position before j and j."""
+    order = list(bits(mask))
+    inside = [g for g in gens if g & ~mask == 0]
+    return sum(not any(g >> a & 1 and g >> b & 1 for g in inside)
+               for a, b in zip(order[-1:] + order[:-1], order))
+
+
+def test_shape_key_is_the_runs_shape_key():
+    ideals = [*_family_ideals(10), *_random_small_ideals(300, seed=20261021)]
+    by_gaps = {0: 0, 1: 0, 2: 0}
+    for ideal in ideals:
+        for sigma in _lcm_closed(ideal):
+            assert betti._shape(sigma, ideal.gens) == \
+                _runs_shape(sigma, ideal.gens), (str(ideal), sigma)
+            by_gaps[min(_gap_count(sigma, ideal.gens), 2)] += 1
+    # σ with no gap, one gap and several gaps all occur
+    assert min(by_gaps.values()) >= 100, by_gaps
+
+
+def test_shape_rows_are_shared_and_kept_per_field(monkeypatch):
+    ideals = list(_random_small_ideals(80, seed=31))
+    cold, cold_rows = {}, 0
+    for a, ideal in enumerate(ideals):
+        for field in FIELDS_Q_2_3:
+            monkeypatch.setattr(betti, "SHAPE_ROWS", {})
+            cold[a, field] = hochster_betti(ideal, field)
+            cold_rows += len(betti.SHAPE_ROWS)
+    for order in (range(len(ideals)), range(len(ideals) - 1, -1, -1)):
+        monkeypatch.setattr(betti, "SHAPE_ROWS", {})
+        for a in order:
+            for field in FIELDS_Q_2_3:
+                assert hochster_betti(ideals[a], field) == cold[a, field], \
+                    (str(ideals[a]), field)
+        # later ideals read rows that earlier ones put in
+        assert len(betti.SHAPE_ROWS) < cold_rows
+    # RP^2 has 2-torsion: its rows differ between Q and GF(2), so a row
+    # kept for one field must not serve the other
+    rp2 = MonomialIdeal(6, _rp2_nonfaces(6))
+    alone = {}
+    for field in (RATIONALS, GF2):
+        monkeypatch.setattr(betti, "SHAPE_ROWS", {})
+        alone[field] = hochster_betti(rp2, field)
+    assert alone[RATIONALS] != alone[GF2]
+    for fields in ((RATIONALS, GF2), (GF2, RATIONALS)):
+        monkeypatch.setattr(betti, "SHAPE_ROWS", {})
+        for field in fields:
+            assert hochster_betti(rp2, field) == alone[field], field
+
+
 def _is_face_list(faces):
     """Strictly ascending from the empty face and closed under subsets,
     checked face by face."""
@@ -380,6 +454,7 @@ def test_ranked_shapes_per_benchmark_instance(monkeypatch):
         return reduced_homology_ranks(*args, **kwargs)
 
     monkeypatch.setattr(betti, "reduced_homology_ranks", counting)
+    monkeypatch.setattr(betti, "SHAPE_ROWS", {})
     for ideal, field in [(line_ideal(12, 2), RATIONALS), (line_ideal(12, 12), RATIONALS),
                          (line_ideal(12, 7), GF2), (cycle_ideal(12, 3), GF2)]:
         ranked.append(0)
@@ -402,6 +477,8 @@ def test_delta_filter_lists_the_subset_walk(monkeypatch):
     for ideal in [*_family_ideals(12), *_random_small_ideals(300, seed=23)]:
         seen.clear()
         faces_of.clear()
+        # mask keys of two ideals can meet, so each starts from no rows
+        monkeypatch.setattr(betti, "SHAPE_ROWS", {})
         hochster_betti(ideal)
         lcm = ideal.lcm_table().tolist()
         connected = [s for s in _lcm_closed(ideal)
@@ -451,6 +528,7 @@ def test_rank_step_is_reached_on_rp2(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(homology, name, counted)
+    monkeypatch.setattr(betti, "SHAPE_ROWS", {})
     ideal = MonomialIdeal(6, _rp2_nonfaces(6))
     over_q = hochster_betti(ideal, RATIONALS)
     assert calls["rank_bareiss"] >= 1

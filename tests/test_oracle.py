@@ -1,6 +1,8 @@
 """Closed-form expectations and the verification harness."""
 
+import collections
 import json
+from pathlib import Path
 
 import pytest
 
@@ -81,9 +83,9 @@ def test_family_module_pairs():
 
 
 def test_compute_row_match_and_bounds():
-    row = compute_row("j3", 4, 3, "depth")
+    row = compute_row("j3", 4, 3, "depth", family_module("j3", 4, 3))
     assert row.status == MATCH and row.computed == 2
-    row = compute_row("j3", 5, 3, "sdepth")
+    row = compute_row("j3", 5, 3, "sdepth", family_module("j3", 5, 3))
     assert row.status == WITHIN_BOUNDS
     assert "exact value 2" in row.note
 
@@ -105,13 +107,14 @@ def test_compute_row_value_outside_bounds_is_a_violation(monkeypatch, computed):
         lambda j, i, node_budget=None: SdepthResult(
             computed, StanleyCertificate([], computed), True, 1))
     for quantity in ("depth", "sdepth"):
-        row = compute_row("j3", 5, 3, quantity)
+        row = compute_row("j3", 5, 3, quantity, family_module("j3", 5, 3))
         assert (row.expected_lo, row.expected_hi) == (2, 3)
         assert (row.computed, row.status, row.note) == (computed, VIOLATION, "")
 
 
 def test_compute_row_budget_skip():
-    row = compute_row("max", 7, None, "sdepth", node_budget=1)
+    row = compute_row("max", 7, None, "sdepth", family_module("max", 7),
+                      node_budget=1)
     assert row.status == SKIPPED
     # the singletons' lower bound and upper_bound, ceil(7 / 2)
     assert row.note == "budget exhausted; 1 <= sdepth <= 4"
@@ -243,3 +246,21 @@ def test_family_registry_drives_expectations_modules_and_suite(capsys):
                 assert all(j.contains(g) for g in i.gens)
     assert run_command(["verify", "--help"]) == 0
     assert "{" + ",".join(["all", *FAMILIES]) + "}" in capsys.readouterr().out
+
+
+def test_verify_builds_each_module_once(monkeypatch):
+    built = collections.Counter()
+
+    def counted(family, n, m=None):
+        built[family, n, m] += 1
+        return family_module(family, n, m)
+
+    monkeypatch.setattr(oracle, "family_module", counted)
+    rows = verify_suite("all", 3, 9).to_json_obj()
+    assert len(built) == sum(built.values()) == 73
+    # the rows are those recorded for `verify --suite all --n-max 10`
+    golden = json.loads((Path(__file__).with_name("data") /
+                         "verify_all_n10.json").read_text())
+    for row in rows:
+        del row["elapsed"]
+    assert rows == [row for row in golden if row["n"] <= 9]
