@@ -15,24 +15,13 @@ import numpy as np
 
 from .ideals import MonomialIdeal, bits, monomial_vars
 from .homology import chain_homology_ranks, reduced_homology_ranks
-from .linalg import INT64_SAFE
+from .linalg import check_prime
 
 TAYLOR_MAX_GENS = 12
 
 # (field's p, _shape key) -> β row {i: β_{i,σ}} of a connected σ with that
 # shape, kept for the process (hochster_betti); rows are never mutated
 SHAPE_ROWS: dict[tuple[int | None, tuple[int, ...]], dict[int, int]] = {}
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -42,13 +31,8 @@ class Field:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is None:
-            return
-        if self.p >= INT64_SAFE:
-            raise ValueError(f"prime {self.p} is not below 2^31, so modular "
-                             "rank would overflow int64")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        if self.p is not None:
+            check_prime(self.p)
 
     def __str__(self):
         return "Q" if self.p is None else f"GF({self.p})"

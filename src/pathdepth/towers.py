@@ -161,7 +161,6 @@ class TowerCheckResult:
 def check_tower_identifications(tower: Tower) -> TowerCheckResult:
     """Verify the proof-level identifications along a tower."""
     failures: list[str] = []
-    n = tower.n
     if tower.family == "j3":
         _check_j3(tower, failures)
     elif tower.family == "jn2":

@@ -16,8 +16,8 @@ from pathdepth.betti import (GF2, RATIONALS, TAYLOR_MAX_GENS, BettiTable,
 from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.homology import reduced_homology_ranks
 from pathdepth.ideals import MonomialIdeal, bits, monomial, subsets
-from pathdepth.linalg import rank_bareiss, rank_mod_p
-from pathdepth.oracle import expectation
+from pathdepth.linalg import INT64_SAFE, rank_bareiss, rank_mod_p
+from pathdepth.oracle import FAMILIES, expectation, family_module
 
 FIELDS_Q_2_3 = (RATIONALS, GF2, Field(3))
 
@@ -129,16 +129,55 @@ def test_field_can_change_betti_numbers():
     assert depth_quotient(ideal, GF2) == 2
 
 
+def _rank_mod_p_reference(matrix, p: int) -> int:
+    # rank_mod_p as it was before it shared the Bareiss loop: Gaussian
+    # elimination with the pivot row normalised by its inverse mod p
+    if p >= INT64_SAFE:
+        raise ValueError(f"prime {p} is not below 2^31, so modular rank "
+                         "would overflow int64")
+    a = np.array(matrix, dtype=np.int64, copy=True) % p
+    if a.ndim != 2 or a.size == 0:
+        return 0
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r, c:] = a[r, c:] * inv % p
+        col = a[r + 1:, c]
+        sel = np.nonzero(col)[0]
+        if sel.size:
+            a[r + 1 + sel, c:] = (a[r + 1 + sel, c:]
+                                  - np.outer(col[sel], a[r, c:])) % p
+        r += 1
+    return r
+
+
 def test_rank_helpers_agree():
     rng = random.Random(7)
-    for _ in range(25):
-        mat = np.array([[rng.randint(-3, 3) for _ in range(4)]
-                        for _ in range(4)], dtype=np.int64)
+    mats = [np.array([[rng.randint(-3, 3) for _ in range(4)]
+                      for _ in range(4)], dtype=np.int64) for _ in range(25)]
+    # one matrix of each shape up to 8 x 8, and the zero and empty ones
+    mats += [np.array([[rng.randint(-5, 5) for _ in range(cols)]
+                       for _ in range(rows)], dtype=np.int64)
+             for rows in range(1, 9) for cols in range(1, 9)]
+    mats += [np.zeros((3, 5), dtype=np.int64), np.zeros((0, 4), dtype=np.int64)]
+    for mat in mats:
         r_q = rank_bareiss(mat)
-        # rank can only drop when reducing mod p, and the entries are tiny,
-        # so a large prime sees the rational rank exactly
+        # rank can only drop when reducing mod p; by Hadamard's bound every
+        # minor is below (5 * sqrt 8)^8 < 2^31 - 1 in absolute value, so
+        # that prime sees the rational rank exactly
         assert rank_mod_p(mat, 2) <= r_q
-        assert rank_mod_p(mat, 1000003) == r_q
+        assert rank_mod_p(mat, 2**31 - 1) == r_q
+        for p in (2, 3, 5, 7, 1000003, 2**31 - 1):
+            assert rank_mod_p(mat, p) == _rank_mod_p_reference(mat, p)
 
 
 def test_bareiss_leaves_int64_at_two_to_the_31():
@@ -153,6 +192,24 @@ def test_rank_mod_p_refuses_primes_past_int64(p):
     with pytest.raises(ValueError, match="2\\^31"):
         rank_mod_p([[1, 2], [2, 4]], p)
     assert rank_mod_p([[1, 2], [2, 4]], 2**31 - 1) == 1
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6, -3])
+def test_field_and_rank_mod_p_refuse_p_that_is_not_prime(p):
+    # mod 4 the rows of [[2, 3], [4, 6]] read independent, against rank 1
+    # over Q, and mod 0 nothing is defined
+    with pytest.raises(ValueError, match="not prime"):
+        Field(p)
+    with pytest.raises(ValueError, match="not prime"):
+        rank_mod_p([[2, 3], [4, 6]], p)
+
+
+def test_field_and_rank_mod_p_refuse_p_that_is_not_an_int():
+    # a float p must be refused up front, not fail deep in the rank step
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Field(2.0)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        rank_mod_p([[2, 3], [4, 6]], 2.0)
 
 
 # sha256 of repr(hochster_betti(ideal, field).entries), recorded before the
@@ -535,3 +592,27 @@ def test_rank_step_is_reached_on_rp2(monkeypatch):
     over_2 = hochster_betti(ideal, GF2)
     assert calls["rank_mod_p"] >= 1
     assert over_q != over_2
+
+
+def test_no_family_depth_row_reaches_the_rank_step(monkeypatch):
+    # the other side of the projective plane: on every family depth row
+    # that verify samples up to n = 12, over both fields, the reduction
+    # leaves no cell to rank, so only general ideals, the Taylor oracle and
+    # complexes like the projective plane reach the step
+    def reached(*args, **kwargs):
+        raise AssertionError("a family depth row reached the rank step")
+
+    monkeypatch.setattr(homology, "rank_bareiss", reached)
+    monkeypatch.setattr(homology, "rank_mod_p", reached)
+    monkeypatch.setattr(betti, "SHAPE_ROWS", {})
+    rows = 0
+    for name, fam in FAMILIES.items():
+        if "depth" not in fam.quantities:
+            continue
+        for n in range(fam.suite_n_min, 13):
+            for m in fam.suite_ms(n):
+                ideal = family_module(name, n, m)[1]
+                for field in (RATIONALS, GF2):
+                    depth_quotient(ideal, field)
+                    rows += 1
+    assert rows == 206
