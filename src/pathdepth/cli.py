@@ -44,11 +44,12 @@ def _positive_int(text: str) -> int:
 
 
 def _read_json(path: str):
-    """The value in a JSON file; a file that does not parse is a usage error."""
+    """The value in a JSON file; a file that does not parse, or nests deeper
+    than the decoder recurses, is a usage error."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError:
+        except (ValueError, RecursionError):
             raise UsageError(f"{path} is not JSON") from None
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import MonomialIdeal, minimalize, monomial, monomial_vars
-from .graphs import cycle_ideal_order, cycle_window, line_ideal, path_ideal_order
-from .oracle import ceil_div, family_module
+from .ideals import MonomialIdeal, minimalize, monomial
+from .graphs import (cycle_ideal, cycle_ideal_order, cycle_window, line_ideal,
+                     path_ideal_order)
+from .oracle import FAMILIES, QUANTITIES, ceil_div, family_module
 
 
 @dataclass(frozen=True)
@@ -41,27 +42,21 @@ class Tower:
 
 
 def j3_pivots(n: int) -> list[int]:
-    """Pivot variable schedule for the J_{n,3} tower."""
+    """Pivot variable schedule for the J_{n,3} tower.
+
+    x_n, then x_4, x_8, ..., x_{4(k-1)} with k = ceil(n/4); the last pivot
+    moves down by 1 at n = 2 (mod 4), the last two by 1 and 2 at
+    n = 1 (mod 4).  n = 5 takes the single pivot x_5.
+    """
     if n < 4:
         raise ValueError("J3 tower needs n >= 4")
-    if n in (4, 5):
-        return [n]
-    k = ceil_div(n, 4)
-    pivots = [n]
-    # general steps 2..k-2 use pivot x_{4j} after step j
-    for j in range(1, k - 2):
-        pivots.append(4 * j)
-    r = n % 4
-    if r in (0, 3):
-        last_two = [4 * (k - 2), 4 * (k - 1)]
-    elif r == 2:
-        last_two = [4 * (k - 2), 4 * (k - 1) - 1]
-    else:  # r == 1
-        last_two = [4 * (k - 2) - 1, 4 * (k - 1) - 2]
-    if k >= 3:
-        pivots.extend(last_two)
-    else:
-        pivots.append(last_two[1])
+    if n == 5:
+        return [5]
+    pivots = [n] + [4 * j for j in range(1, ceil_div(n, 4))]
+    if n % 4 == 2:
+        pivots[-1] -= 1
+    elif n % 4 == 1:
+        pivots[-2:] = [pivots[-2] - 1, pivots[-1] - 2]
     return pivots
 
 
@@ -92,7 +87,7 @@ def tower_sequence(family: str, n: int) -> Tower:
 # -- displayed generator lists -------------------------------------------
 
 def displayed_l0_j3(n: int) -> MonomialIdeal:
-    return minimalize([cycle_window(n, i) for i in range(1, n + 1)], n)
+    return cycle_ideal(n, 3)
 
 
 def displayed_l1_j3(n: int) -> MonomialIdeal:
@@ -103,8 +98,13 @@ def displayed_l1_j3(n: int) -> MonomialIdeal:
 
 def displayed_u1_j3(n: int) -> MonomialIdeal:
     """(u_1, ..., u_{n-3}, x_n)."""
-    gens = [cycle_window(n, i) for i in range(1, n - 2)] + [1 << (n - 1)]
-    return minimalize(gens, n)
+    return _claimed_u1("j3", n)
+
+
+def _claimed_u1(family: str, n: int) -> MonomialIdeal:
+    """U_1 = I_{n-1,m} + (x_n), the first sum of either family's tower."""
+    line = line_ideal(n - 1, FAMILIES[family].m(n))
+    return MonomialIdeal(n, (*line.gens, 1 << (n - 1)))
 
 
 def wrap_trio(n: int) -> list[int]:
@@ -123,30 +123,22 @@ def expected_v_w(n: int, step: int):
     """Expected degree-2 part V and degree-3 part W of U_step, step >= 2.
 
     Returns (v_gens, w_gens, path_order) where path_order is the vertex
-    count of the path edge ideal V is claimed isomorphic to.
+    count of the path edge ideal V is claimed isomorphic to.  W is claimed
+    to be I_{t,3} on the t vertices that end at x_{n-2}; it is zero at the
+    last step.
     """
     k = ceil_div(n, 4)
-    r = n % 4
     if not 2 <= step <= k:
         raise ValueError(f"step {step} outside 2..{k}")
-    if step < k:  # middle steps, including k-1
-        v = wrap_trio(n) + [g for t in range(1, step - 1) for g in block(n, t)]
-        if r == 1 and step == k - 1:
-            w_lo = 4 * (k - 2)
-        else:
-            w_lo = 4 * (step - 1) + 1
-        w = [cycle_window(n, i) for i in range(w_lo, n - 3)]
-        return v, w, 3 * (step - 1) + 1
-    # final step
-    if r == 1:
-        v = wrap_trio(n) + [g for t in range(1, k - 2) for g in block(n, t)]
+    t = n - 4 * step + 2 + (n % 4 == 1 and step == k - 1)
+    w = [cycle_window(n, i) for i in range(n - t - 1, n - 3)]
+    if n % 4 == 1 and step == k:
+        v = wrap_trio(n) + [g for j in range(1, k - 2) for g in block(n, j)]
         x = 1 << (4 * (k - 2) - 2)  # x_{4(k-2)-1}
         v += [cycle_window(n, i) & ~x for i in (4 * (k - 2) - 2, 4 * (k - 2) - 1)]
-        order = n - k
-    else:
-        v = wrap_trio(n) + [g for t in range(1, k - 1) for g in block(n, t)]
-        order = {0: n - k - 2, 3: n - k - 1, 2: n - k}[r]
-    return v, [], order
+        return v, w, n - k
+    v = wrap_trio(n) + [g for j in range(1, step - 1) for g in block(n, j)]
+    return v, w, 3 * step - 2
 
 
 @dataclass
@@ -160,78 +152,42 @@ class TowerCheckResult:
 
 def check_tower_identifications(tower: Tower) -> TowerCheckResult:
     """Verify the proof-level identifications along a tower."""
+    check = {"j3": _check_j3, "jn2": _check_jn2}.get(tower.family)
+    if check is None:
+        return TowerCheckResult(False, [f"unknown family {tower.family}"])
     failures: list[str] = []
-    if tower.family == "j3":
-        _check_j3(tower, failures)
-    elif tower.family == "jn2":
-        _check_jn2(tower, failures)
-    else:
-        failures.append(f"unknown family {tower.family}")
+    if tower.steps[0].uj != _claimed_u1(tower.family, tower.n):
+        line = FAMILIES[tower.family].name.replace("J_{n,", "I_{n-1,")
+        failures.append(f"U_1 is not {line} + (x_n)")
+    check(tower, failures)
     return TowerCheckResult(not failures, failures)
 
 
 def _check_j3(tower: Tower, failures: list[str]) -> None:
     n = tower.n
-    steps = tower.steps
-    # U_1 = I_{n-1,3} extended by x_n
-    want_u1 = minimalize([*line_ideal(n - 1, 3).gens, 1 << (n - 1)], n)
-    if steps[0].uj != want_u1:
-        failures.append("U_1 is not I_{n-1,3} + (x_n)")
-    # terminal identification
-    term = tower.terminal
-    if n == 5:
-        if path_ideal_order(term) != 4:
-            failures.append("terminal L is not a path ideal I_{4,2}")
-    else:
-        k = 1 if n == 4 else ceil_div(n, 4)
-        if cycle_ideal_order(term) != n - k:
-            failures.append(f"terminal L_k is not a cycle ideal J_{{{n - k},2}}")
-    if n < 6:
-        return
     k = ceil_div(n, 4)
-    for step in steps[1:]:
+    if n == 5:
+        if path_ideal_order(tower.terminal) != 4:
+            failures.append("terminal L is not a path ideal I_{4,2}")
+    elif cycle_ideal_order(tower.terminal) != n - k:
+        failures.append(f"terminal L_k is not a cycle ideal J_{{{n - k},2}}")
+    for step in tower.steps[1:]:
         s = step.index
         v, w, order = expected_v_w(n, s)
-        pivot_mask = 1 << (step.pivot - 1)
-        want = minimalize(v + w + [pivot_mask], n)
-        if step.uj != want:
+        if step.uj != MonomialIdeal(n, (*v, *w, 1 << (step.pivot - 1))):
             failures.append(f"U_{s} != (x_{step.pivot}) + V_{s} + W_{s}")
-            continue
-        v_ideal = minimalize(v, n)
-        if path_ideal_order(v_ideal) != order:
+        elif path_ideal_order(MonomialIdeal(n, tuple(v))) != order:
             failures.append(f"V_{s} is not a path ideal on {order} vertices")
-        if w:
-            lo = min(min(monomial_vars(g)) for g in w)
-            hi = max(max(monomial_vars(g)) for g in w)
-            span = hi - lo + 1
-            want_w = {monomial(range(i, i + 3), n) for i in range(lo, hi - 1)}
-            if set(w) != want_w:
-                failures.append(f"W_{s} is not a shifted line ideal of length 3")
-            # claimed W ≅ I_{t,3}: t consecutive vertices
-            expect_span = (n - 4 * s + 3) if (n % 4 == 1 and s == k - 1) \
-                else (n - 4 * s + 2)
-            if span != expect_span:
-                failures.append(f"W_{s} spans {span} vertices, expected {expect_span}")
 
 
 def _check_jn2(tower: Tower, failures: list[str]) -> None:
     n = tower.n
-    steps = tower.steps
-    # U_1 = I_{n-1,n-2} extended by x_n
-    want_u1 = minimalize([*line_ideal(n - 1, n - 2).gens, 1 << (n - 1)], n)
-    if steps[0].uj != want_u1:
-        failures.append("U_1 is not I_{n-1,n-2} + (x_n)")
     # U_j = (x_1...x_{n-j-1}, x_{n-j+1}) for j >= 2
-    for step in steps[1:]:
+    for step in tower.steps[1:]:
         j = step.index
-        want = minimalize([monomial(range(1, n - j), n),
-                           1 << (n - j)], n)
-        if step.uj != want:
+        if step.uj != MonomialIdeal(n, (monomial(range(1, n - j), n), 1 << (n - j))):
             failures.append(f"U_{j} is not (x_1..x_{n - j - 1}, x_{n - j + 1})")
-    # terminal L_{n-4} = (x_3 x_4, x_4 x_1, x_1 x_2)
-    want_term = minimalize([monomial([3, 4], n), monomial([4, 1], n),
-                            monomial([1, 2], n)], n)
-    if tower.terminal != want_term:
+    if tower.terminal != MonomialIdeal.from_vars(n, [[3, 4], [4, 1], [1, 2]]):
         failures.append("terminal L_{n-4} is not (x3x4, x4x1, x1x2)")
 
 
@@ -245,6 +201,8 @@ def check_exact_sequence_inequalities(tower: Tower, values_l: list[int],
     below by the minimum over the ends; for depth the two standard
     companion bounds on the end terms are checked as well.
     """
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
     k = len(tower.steps)
     if len(values_l) != k + 1 or len(values_u) != k:
         raise ValueError("value lists do not match the tower length")

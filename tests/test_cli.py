@@ -239,7 +239,8 @@ def test_certificate_with_a_bad_interval_exits_two(tmp_path, capsys):
     assert captured.err.strip() == "error: interval lower must divide upper"
 
 
-@pytest.mark.parametrize("text", ["", "n = 4", "{\"n\": 4,", "\udcff"])
+@pytest.mark.parametrize("text", ["", "n = 4", "{\"n\": 4,", "\udcff",
+                                  pytest.param("[" * 100_000, id="nested")])
 @pytest.mark.parametrize("command", ["depth --ideal-file", "decomp --check"])
 def test_file_that_is_not_json_is_named(command, text, tmp_path, capsys):
     path = tmp_path / "input.json"

@@ -8,7 +8,7 @@ from pathdepth.betti import depth_quotient
 from pathdepth.graphs import cycle_ideal, line_ideal
 from pathdepth.ideals import MAX_AMBIENT, MonomialIdeal, monomial
 from pathdepth.sdepth import stanley_depth
-from pathdepth.towers import (Tower, check_exact_sequence_inequalities,
+from pathdepth.towers import (Tower, TowerStep, check_exact_sequence_inequalities,
                               check_tower_identifications, displayed_l0_j3,
                               displayed_l1_j3, displayed_u1_j3, j3_pivots,
                               tower_sequence)
@@ -39,6 +39,13 @@ def test_pivot_schedules():
     assert j3_pivots(9) == [9, 3, 6]
     assert j3_pivots(10) == [10, 4, 7]
     assert j3_pivots(12) == [12, 4, 8]
+    assert j3_pivots(6) == [6, 3]
+    assert j3_pivots(7) == [7, 4]
+    assert j3_pivots(11) == [11, 4, 8]
+    assert j3_pivots(13) == [13, 4, 7, 10]
+    assert j3_pivots(14) == [14, 4, 8, 11]
+    assert j3_pivots(17) == [17, 4, 8, 11, 14]
+    assert j3_pivots(21) == [21, 4, 8, 12, 15, 18]
     with pytest.raises(ValueError):
         j3_pivots(3)
 
@@ -86,6 +93,30 @@ def test_corrupted_tower_is_rejected():
     assert any("U_2" in f for f in result.failures)
 
 
+def _tower_on(family, n, pivots):
+    """The colon/sum tower of a family on a given pivot schedule."""
+    l0 = tower_sequence(family, n).l0
+    steps, cur = [], l0
+    for j, pivot in enumerate(pivots, start=1):
+        mask = monomial([pivot], n)
+        steps.append(TowerStep(j, pivot, cur.colon(mask), cur.add_generator(mask)))
+        cur = steps[-1].lj
+    return Tower(family, n, l0, tuple(steps))
+
+
+@pytest.mark.parametrize("n, pivots, failures", [
+    (9, [9, 4, 8], ["terminal L_k is not a cycle ideal J_{6,2}",
+                    "U_3 != (x_8) + V_3 + W_3"]),
+    (13, [13, 4, 8, 12], ["terminal L_k is not a cycle ideal J_{9,2}",
+                          "U_4 != (x_12) + V_4 + W_4"]),
+    (14, [14, 4, 8, 12], ["terminal L_k is not a cycle ideal J_{10,2}"]),
+])
+def test_wrong_pivot_schedule_is_rejected(n, pivots, failures):
+    # the n = 0 (mod 4) schedule, run where the last pivots move down
+    result = check_tower_identifications(_tower_on("j3", n, pivots))
+    assert result.failures == failures
+
+
 def test_alternate_recursion_diverges_at_eight():
     # (U_1, pivot) and (L_1, pivot) give different second ideals at n = 8
     tower = tower_sequence("j3", 8)
@@ -127,6 +158,15 @@ def test_fabricated_violation_is_caught():
                                                  "sdepth")
     with pytest.raises(ValueError):
         check_exact_sequence_inequalities(tower, [1], [1, 2, 3], "depth")
+
+
+def test_unknown_quantity_is_refused():
+    # a misspelt "depth" must not skip the depth companion bounds
+    tower = tower_sequence("j3", 6)
+    assert not check_exact_sequence_inequalities(tower, [3, 3, 9], [1, 1],
+                                                 "depth")
+    with pytest.raises(ValueError):
+        check_exact_sequence_inequalities(tower, [3, 3, 9], [1, 1], "Depth")
 
 
 def test_terminal_matches_expected_cycle_order():
