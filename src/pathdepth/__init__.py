@@ -1,6 +1,6 @@
 """Exact depth and Stanley depth engines for path ideals of line and cyclic graphs."""
 
-from .ideals import MonomialIdeal, VarPermutation, minimalize, monomial, monomial_vars
+from .ideals import MonomialIdeal, VarPermutation, monomial, monomial_vars
 from .graphs import cycle_ideal, line_ideal
 from .betti import (Field, RATIONALS, GF2, BettiTable, depth_quotient,
                     hochster_betti, projective_dimension, taylor_betti)
@@ -13,7 +13,7 @@ from .towers import (Tower, TowerStep, tower_sequence,
 from .oracle import Expectation, expectation, phi, verify_suite
 
 __all__ = [
-    "MonomialIdeal", "VarPermutation", "minimalize", "monomial", "monomial_vars",
+    "MonomialIdeal", "VarPermutation", "monomial", "monomial_vars",
     "cycle_ideal", "line_ideal",
     "Field", "RATIONALS", "GF2", "BettiTable", "depth_quotient",
     "hochster_betti", "projective_dimension", "taylor_betti",

@@ -57,14 +57,8 @@ class BettiTable:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(i, s): b for i, s, b in self.entries}
 
-    def beta(self, i: int, sigma: int) -> int:
-        return self.as_dict().get((i, sigma), 0)
-
     def projective_dimension(self) -> int:
         return max((i for i, _, _ in self.entries), default=0)
-
-    def total(self, i: int) -> int:
-        return sum(b for j, _, b in self.entries if j == i)
 
     def rows(self):
         """(i, sorted variable tuple, beta) rows, sorted for stable output."""

@@ -18,12 +18,6 @@ from .ideals import bits
 from .linalg import rank_bareiss, rank_mod_p
 
 
-def _rank(matrix, field) -> int:
-    if field.p is None:
-        return rank_bareiss(matrix)
-    return rank_mod_p(matrix, field.p)
-
-
 def boundary_matrix(lower: list[int], upper: list[int]) -> np.ndarray:
     """Signed boundary matrix from the cells in upper to those in lower.
 
@@ -54,7 +48,8 @@ def chain_homology_ranks(cells: dict[int, list[int]], field) -> list[int]:
     for s in range(1, top + 1):
         lower, upper = cells.get(s - 1), cells.get(s)
         if lower and upper:
-            ranks[s] = _rank(boundary_matrix(lower, upper), field)
+            m = boundary_matrix(lower, upper)
+            ranks[s] = rank_bareiss(m) if field.p is None else rank_mod_p(m, field.p)
     return [len(cells.get(s, ())) - ranks[s] - ranks[s + 1]
             for s in range(top + 1)]
 

@@ -8,13 +8,13 @@ bitmask inclusion, gcd is bitwise AND, lcm is bitwise OR.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# All engines enumerate subsets of [n]; keep the ambient size bounded.
+# Bounds the ambient size of every ideal built, and so verify's --n-max;
+# the engines themselves stop at TABLE_MAX_N.
 MAX_AMBIENT = 24
 # Both engines tabulate all 2^n masks (depth: MonomialIdeal.lcm_table;
 # sdepth: MonomialIdeal.member_table), so their n stops here.
@@ -117,38 +117,20 @@ class VarPermutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+        images = tuple(map(integer, self.images))
+        object.__setattr__(self, "images", images)
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("images must be a bijection on 1..n")
 
     @property
     def n(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, n: int) -> "VarPermutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def rotation(cls, n: int, shift: int = 1) -> "VarPermutation":
-        return cls(tuple((i - 1 + shift) % n + 1 for i in range(1, n + 1)))
-
-    @classmethod
-    def reflection(cls, n: int) -> "VarPermutation":
-        return cls(tuple(n + 1 - i for i in range(1, n + 1)))
-
     def apply(self, mask: int) -> int:
         out = 0
         for i in bits(mask):
             out |= 1 << (self.images[i] - 1)
         return out
-
-    def after(self, other: "VarPermutation") -> "VarPermutation":
-        """Composition self∘other: apply other first, then self."""
-        if self.n != other.n:
-            raise ValueError("permutation size mismatch")
-        return VarPermutation(tuple(self.images[other.images[i - 1] - 1]
-                                    for i in range(1, self.n + 1)))
 
 
 @dataclass(frozen=True)
@@ -190,10 +172,6 @@ class MonomialIdeal:
     @property
     def is_whole_ring(self) -> bool:
         return self.gens == (0,)
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_whole_ring
 
     def contains(self, mask: int) -> bool:
         """Ideal membership of a squarefree monomial."""
@@ -248,9 +226,6 @@ class MonomialIdeal:
     def to_dict(self) -> dict:
         return {"n": self.n, "gens": [list(monomial_vars(g)) for g in self.gens]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: dict) -> "MonomialIdeal":
         """Ideal from {"n": .., "gens": [[..], ..]}; ValueError if malformed."""
@@ -259,18 +234,9 @@ class MonomialIdeal:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed ideal data: {exc!r}") from exc
 
-    @classmethod
-    def from_json(cls, text: str) -> "MonomialIdeal":
-        return cls.from_dict(json.loads(text))
-
     def __str__(self):
         if self.is_zero:
             return f"(0) in S[{self.n}]"
         names = ["*".join(f"x{i}" for i in monomial_vars(g)) or "1"
                  for g in self.gens]
         return f"({', '.join(names)}) in S[{self.n}]"
-
-
-def minimalize(monomials, n: int) -> MonomialIdeal:
-    """Ideal generated by the given monomial bitmasks, minimally presented."""
-    return MonomialIdeal(n, tuple(monomials))

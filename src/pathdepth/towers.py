@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import MonomialIdeal, minimalize, monomial
+from .ideals import MonomialIdeal, monomial
 from .graphs import (cycle_ideal, cycle_ideal_order, cycle_window, line_ideal,
                      path_ideal_order)
 from .oracle import FAMILIES, QUANTITIES, ceil_div, family_module
@@ -60,16 +60,20 @@ def j3_pivots(n: int) -> list[int]:
     return pivots
 
 
-def tower_sequence(family: str, n: int) -> Tower:
-    """Build the L_j/U_j tower for the J_{n,3} or J_{n,n-2} family."""
+def _pivots(family: str, n: int) -> list[int]:
+    """The pivot schedule of the J_{n,3} or J_{n,n-2} tower."""
     if family == "j3":
-        pivots = j3_pivots(n)
-    elif family == "jn2":
+        return j3_pivots(n)
+    if family == "jn2":
         if n < 5:
             raise ValueError("Jn-2 tower needs n >= 5")
-        pivots = [n - j + 1 for j in range(1, n - 3)]
-    else:
-        raise ValueError(f"unknown tower family {family!r}")
+        return [n - j + 1 for j in range(1, n - 3)]
+    raise ValueError(f"unknown tower family {family!r}")
+
+
+def tower_sequence(family: str, n: int) -> Tower:
+    """Build the L_j/U_j tower for the J_{n,3} or J_{n,n-2} family."""
+    pivots = _pivots(family, n)
     _, l0 = family_module(family, n)
     steps = []
     cur = l0
@@ -93,7 +97,7 @@ def displayed_l0_j3(n: int) -> MonomialIdeal:
 def displayed_l1_j3(n: int) -> MonomialIdeal:
     """(u_2, ..., u_{n-4}, u_{n-2}/x_n, u_{n-1}/x_n, u_n/x_n)."""
     gens = [cycle_window(n, i) for i in range(2, n - 3)] + wrap_trio(n)
-    return minimalize(gens, n)
+    return MonomialIdeal(n, tuple(gens))
 
 
 def displayed_u1_j3(n: int) -> MonomialIdeal:
@@ -155,6 +159,10 @@ def check_tower_identifications(tower: Tower) -> TowerCheckResult:
     check = {"j3": _check_j3, "jn2": _check_jn2}.get(tower.family)
     if check is None:
         return TowerCheckResult(False, [f"unknown family {tower.family}"])
+    steps, schedule = len(tower.steps), len(_pivots(tower.family, tower.n))
+    if steps != schedule:
+        return TowerCheckResult(
+            False, [f"tower has {steps} steps, its schedule {schedule}"])
     failures: list[str] = []
     if tower.steps[0].uj != _claimed_u1(tower.family, tower.n):
         line = FAMILIES[tower.family].name.replace("J_{n,", "I_{n-1,")

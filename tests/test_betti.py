@@ -27,7 +27,7 @@ def test_koszul_complex_totals():
     for n in (2, 3, 4):
         table = hochster_betti(line_ideal(n, 1))
         for i in range(n + 1):
-            assert table.total(i) == math.comb(n, i)
+            assert sum(b for j, _, b in table.entries if j == i) == math.comb(n, i)
         assert table.projective_dimension() == n
         assert depth_quotient(line_ideal(n, 1)) == 0
 
@@ -60,9 +60,10 @@ def test_cycle_anchor_depth():
 
 def test_betti_table_lookup():
     table = hochster_betti(cycle_ideal(4, 3))
-    assert table.beta(0, 0) == 1
-    assert table.beta(1, monomial([1, 2, 3], 4)) == 1
-    assert table.beta(7, 0) == 0
+    beta = table.as_dict()
+    assert beta[0, 0] == 1
+    assert beta[1, monomial([1, 2, 3], 4)] == 1
+    assert (7, 0) not in beta
     assert all(b > 0 for _, _, b in table.entries)
 
 

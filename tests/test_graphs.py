@@ -61,15 +61,16 @@ def test_cycle_window_wraps():
 def test_cycle_ideal_rotation_invariant():
     for n in (4, 5, 6, 7):
         ideal = cycle_ideal(n, 3)
-        assert ideal.relabel(VarPermutation.rotation(n)) == ideal
-        assert ideal.relabel(VarPermutation.reflection(n)) == ideal
+        rotation = VarPermutation((*range(2, n + 1), 1))
+        assert ideal.relabel(rotation) == ideal
+        assert ideal.relabel(VarPermutation(tuple(range(n, 0, -1)))) == ideal
 
 
 def test_line_ideal_reflection_invariant():
     for n in (4, 5, 6):
         for m in (2, 3):
             ideal = line_ideal(n, m)
-            assert ideal.relabel(VarPermutation.reflection(n)) == ideal
+            assert ideal.relabel(VarPermutation(tuple(range(n, 0, -1)))) == ideal
 
 
 def test_path_ideal_order_detects_paths():

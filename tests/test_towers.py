@@ -117,6 +117,16 @@ def test_wrong_pivot_schedule_is_rejected(n, pivots, failures):
     assert result.failures == failures
 
 
+@pytest.mark.parametrize("family, n, pivots, failure", [
+    ("j3", 9, [9, 3, 6, 2], "tower has 4 steps, its schedule 3"),
+    ("j3", 9, [], "tower has 0 steps, its schedule 3"),
+    ("jn2", 7, [7, 6], "tower has 2 steps, its schedule 3"),
+], ids=["j3-extra-step", "j3-no-steps", "jn2-step-short"])
+def test_tower_of_wrong_length_is_rejected(family, n, pivots, failure):
+    result = check_tower_identifications(_tower_on(family, n, pivots))
+    assert not result.ok and result.failures == [failure]
+
+
 def test_alternate_recursion_diverges_at_eight():
     # (U_1, pivot) and (L_1, pivot) give different second ideals at n = 8
     tower = tower_sequence("j3", 8)
