@@ -79,9 +79,12 @@ def divides(u: int, v: int) -> bool:
     return u & v == u
 
 
-def check_ambient(n: int) -> None:
+def check_ambient(n: int) -> int:
+    """``n`` as an int; TypeError if it is not one, ValueError if out of range."""
+    n = integer(n)
     if not 1 <= n <= MAX_AMBIENT:
         raise ValueError(f"ambient variable count {n} outside 1..{MAX_AMBIENT}")
+    return n
 
 
 class TableCapExceeded(ValueError):
@@ -146,7 +149,7 @@ class MonomialIdeal:
     gens: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        check_ambient(self.n)
+        object.__setattr__(self, "n", check_ambient(self.n))
         object.__setattr__(self, "gens", _minimal_masks(self.gens, self.n))
 
     # -- constructors -------------------------------------------------

@@ -547,9 +547,10 @@ def certificate_from(poset: CharPoset, intervals: list[Interval],
     return StanleyCertificate(intervals + [Interval(s, s) for s in left], k)
 
 
-def _check_budget(budget) -> None:
-    if budget is not None and budget < 0:
+def _check_budget(budget) -> int | None:
+    if budget is not None and (budget := integer(budget)) < 0:
         raise ValueError(f"node budget {budget} is negative")
+    return budget
 
 
 def sdepth_at_least(poset: CharPoset, k: int, budget=None):
@@ -593,7 +594,7 @@ def stanley_depth(j_ideal: MonomialIdeal, i_ideal: MonomialIdeal,
     cover yet, so it returns the singletons, inexact: its lower bound is the
     smallest element size, and sdepth lies between that and U.
     """
-    _check_budget(node_budget)
+    node_budget = _check_budget(node_budget)
     poset = build_char_poset(j_ideal, i_ideal)
     upper = upper_bound(poset)
     total_nodes, exact = 0, True

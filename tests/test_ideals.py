@@ -57,6 +57,19 @@ def test_ambient_bounds():
         MonomialIdeal.zero(MAX_AMBIENT + 1)
 
 
+@pytest.mark.parametrize("n", [5.0, True], ids=repr)
+def test_ambient_that_is_not_an_int_is_refused(n):
+    # both were accepted, and their to_dict() was refused by from_dict
+    with pytest.raises(TypeError):
+        MonomialIdeal(n, ())
+
+
+def test_ambient_is_stored_as_an_int():
+    ideal = MonomialIdeal(np.int64(5), (0b11,))
+    assert type(ideal.n) is int
+    assert MonomialIdeal.from_dict(json.loads(json.dumps(ideal.to_dict()))) == ideal
+
+
 def test_colon_example_cycle():
     # (x1x2x3, x2x3x4, x3x4x1, x4x1x2) : x4  =  (x1x2, x2x3, x3x1)
     j = MonomialIdeal.from_vars(4, [[1, 2, 3], [2, 3, 4], [3, 4, 1], [4, 1, 2]])

@@ -118,6 +118,24 @@ def test_negative_budgets_are_refused():
     assert (res.exact, res.nodes) == (False, 0)
 
 
+@pytest.mark.parametrize("budget", [10.5, 10.0, True], ids=repr)
+def test_budgets_that_are_not_ints_are_refused(budget):
+    # 10.5 never equals a node count, so it ran all 7717 nodes and called
+    # the result exact; 10.0 and True were reported back as the node count
+    j, i = MonomialIdeal.whole_ring(9), cycle_ideal(9, 3)
+    with pytest.raises(TypeError):
+        stanley_depth(j, i, node_budget=budget)
+    with pytest.raises(TypeError):
+        sdepth_at_least(build_char_poset(j, i), 5, budget=budget)
+
+
+def test_a_numpy_budget_reports_an_int_node_count():
+    # a cut run reports its budget as the node count, which must stay JSON
+    res = stanley_depth(MonomialIdeal.whole_ring(9), cycle_ideal(9, 3),
+                        node_budget=np.int64(10))
+    assert (res.exact, type(res.nodes), res.nodes) == (False, int, 10)
+
+
 def test_sdepth_at_least_monotone():
     poset = build_char_poset(MonomialIdeal.whole_ring(6), cycle_ideal(6, 3))
     res = stanley_depth(MonomialIdeal.whole_ring(6), cycle_ideal(6, 3))

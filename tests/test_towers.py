@@ -10,8 +10,8 @@ from pathdepth.ideals import MAX_AMBIENT, MonomialIdeal, monomial
 from pathdepth.sdepth import stanley_depth
 from pathdepth.towers import (Tower, TowerStep, check_exact_sequence_inequalities,
                               check_tower_identifications, displayed_l0_j3,
-                              displayed_l1_j3, displayed_u1_j3, j3_pivots,
-                              tower_sequence)
+                              displayed_l1_j3, displayed_u1_j3, expected_v_w,
+                              j3_pivots, tower_sequence)
 
 
 def test_smallest_cycle_tower():
@@ -127,6 +127,59 @@ def test_tower_of_wrong_length_is_rejected(family, n, pivots, failure):
     assert not result.ok and result.failures == [failure]
 
 
+def test_only_three_perturbed_schedules_pass():
+    # every +-1, +-2 move of one pivot of the j3 schedule, n = 6..18
+    tried, passing = 0, []
+    for n in range(6, 19):
+        for i, pivot in enumerate(j3_pivots(n)):
+            for moved in range(max(pivot - 2, 1), min(pivot + 2, n) + 1):
+                if moved == pivot:
+                    continue
+                pivots = j3_pivots(n)
+                pivots[i] = moved
+                tried += 1
+                if check_tower_identifications(_tower_on("j3", n, pivots)).ok:
+                    passing.append((n, pivots))
+    assert tried == 150
+    assert passing == [(7, [7, 3]), (11, [11, 4, 7]), (15, [15, 4, 8, 11])]
+
+
+def _reference_v_w(n, step):
+    """V and W of U_step as the wrap trio and blocks of the proof: the
+    construction expected_v_w used before it read them off the pivots."""
+    def cycle_window(n, start):  # u_start = x_start x_{start+1} x_{start+2}, mod n
+        window = 0b111 << (start - 1)
+        return (window | window >> n) & ((1 << n) - 1)
+
+    def wrap_trio(n):
+        xn = 1 << (n - 1)
+        return [cycle_window(n, i) & ~xn for i in (n - 2, n - 1, n)]
+
+    def block(n, t):
+        x4t = 1 << (4 * t - 1)
+        return [cycle_window(n, i) & ~x4t for i in (4 * t - 2, 4 * t - 1, 4 * t)]
+
+    k = -(-n // 4)
+    t = n - 4 * step + 2 + (n % 4 == 1 and step == k - 1)
+    w = [cycle_window(n, i) for i in range(n - t - 1, n - 3)]
+    if n % 4 == 1 and step == k:
+        v = wrap_trio(n) + [g for j in range(1, k - 2) for g in block(n, j)]
+        x = 1 << (4 * (k - 2) - 2)  # x_{4(k-2)-1}
+        v += [cycle_window(n, i) & ~x for i in (4 * (k - 2) - 2, 4 * (k - 2) - 1)]
+        return v, w
+    v = wrap_trio(n) + [g for j in range(1, step - 1) for g in block(n, j)]
+    return v, w
+
+
+def test_v_and_w_match_the_wrap_trio_and_blocks():
+    for n in range(6, 201):
+        for step in range(2, len(j3_pivots(n)) + 1):
+            v, w = expected_v_w(n, step)
+            want_v, want_w = _reference_v_w(n, step)
+            assert (set(v), set(w)) == (set(want_v), set(want_w)), (n, step)
+            assert len(v) == len(set(v)) and len(w) == len(set(w)), (n, step)
+
+
 def test_alternate_recursion_diverges_at_eight():
     # (U_1, pivot) and (L_1, pivot) give different second ideals at n = 8
     tower = tower_sequence("j3", 8)
@@ -180,12 +233,16 @@ def test_unknown_quantity_is_refused():
 
 
 def test_terminal_matches_expected_cycle_order():
-    # after k = ceil(n/4) colon steps the cycle length drops to n - k
-    from pathdepth.graphs import cycle_ideal_order
+    # after k = ceil(n/4) colon steps L_k is the cycle J_{n-k,2} on the
+    # n - k variables no pivot takes, in cyclic order from x_{n-2}
     for n in (8, 9, 10, 11):
         tower = tower_sequence("j3", n)
-        k = -(-n // 4)
-        assert cycle_ideal_order(tower.terminal) == n - k
+        pivots = {step.pivot for step in tower.steps}
+        left = [v for v in (*range(n - 2, n + 1), *range(1, n - 2))
+                if v not in pivots]
+        assert len(left) == n - -(-n // 4)
+        edges = zip(left, left[1:] + left[:1])
+        assert tower.terminal == MonomialIdeal.from_vars(n, edges)
 
 
 def test_unknown_family_rejected():
